@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"github.com/datampi/datampi-go/internal/harness"
-	"github.com/datampi/datampi-go/internal/sim"
 )
 
 // runExperiment executes a harness experiment b.N times and reports the
@@ -68,14 +67,12 @@ func BenchmarkFig6aKMeans(b *testing.B)          { runExperiment(b, "fig6a", tru
 func BenchmarkFig6bNaiveBayes(b *testing.B)      { runExperiment(b, "fig6b", true) }
 func BenchmarkFig7Summary(b *testing.B)          { runExperiment(b, "fig7", true) }
 
-// runKernelChurn benchmarks the raw simulation kernel under task churn
-// (>=1k concurrent fluid flows with watchdog-cancel storms and mid-flight
-// kills) at a chosen fidelity — the direct fast-vs-reference comparison
-// behind the kernel perf work.
-func runKernelChurn(b *testing.B, f sim.Fidelity) {
-	b.Helper()
+// BenchmarkKernelChurn benchmarks the raw simulation kernel under task
+// churn (>=1k concurrent fluid flows with watchdog-cancel storms and
+// mid-flight kills).
+func BenchmarkKernelChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := harness.KernelChurn(f, 1400, 1)
+		res, err := harness.KernelChurn(1400, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,9 +80,6 @@ func runKernelChurn(b *testing.B, f sim.Fidelity) {
 		b.ReportMetric(res.SimTime, "simsec")
 	}
 }
-
-func BenchmarkKernelChurnFast(b *testing.B)      { runKernelChurn(b, sim.FidelityFast) }
-func BenchmarkKernelChurnReference(b *testing.B) { runKernelChurn(b, sim.FidelityReference) }
 
 // KernelScaleBenchNodes/Tasks is the CI-sized kernelscale configuration:
 // the upper point of the experiment's quick sweep. The alloc-regression

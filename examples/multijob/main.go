@@ -38,6 +38,25 @@ func rig(hadoop bool) (*datampi.Testbed, datampi.ConcurrentEngine, []datampi.Job
 	return tb, eng, jobs
 }
 
+// run co-schedules jobs on eng under policy as one scenario tenant whose
+// jobs all arrive at time zero, and returns their results in submission
+// order.
+func run(tb *datampi.Testbed, eng datampi.ConcurrentEngine, policy datampi.Policy, jobs ...datampi.Job) []datampi.Result {
+	opts := []datampi.ScenarioOption{datampi.WithPolicy(policy), datampi.Tenant("jobs", 1, eng)}
+	for _, j := range jobs {
+		opts = append(opts, datampi.Arrive("jobs", 0, j))
+	}
+	rep, err := datampi.NewScenario(tb, opts...).Run()
+	if err != nil {
+		log.Fatal(err)
+	}
+	out := make([]datampi.Result, len(rep.Jobs))
+	for i, j := range rep.Jobs {
+		out[i] = j.Result
+	}
+	return out
+}
+
 func main() {
 	for _, engine := range []struct {
 		name   string
@@ -46,24 +65,16 @@ func main() {
 		// Isolated baselines: one fresh testbed per job.
 		alone := make([]float64, 3)
 		for i := range alone {
-			_, eng, jobs := rig(engine.hadoop)
-			res := datampi.RunAll(eng, datampi.FIFO, jobs[i])[0]
-			if res.Err != nil {
-				log.Fatal(res.Err)
-			}
-			alone[i] = res.Elapsed
+			tb, eng, jobs := rig(engine.hadoop)
+			alone[i] = run(tb, eng, datampi.FIFO, jobs[i])[0].Elapsed
 		}
 
 		fmt.Printf("== %s: WordCount + Grep + TextSort (8 GB each) on one 8-node testbed ==\n", engine.name)
 		fmt.Printf("%-10s %-10s %8s %8s %8s\n", "policy", "job", "alone(s)", "mix(s)", "slowdown")
 		for _, policy := range []datampi.Policy{datampi.FIFO, datampi.Fair} {
-			_, eng, jobs := rig(engine.hadoop)
-			results := datampi.RunAll(eng, policy, jobs...)
+			tb, eng, jobs := rig(engine.hadoop)
 			makespan := 0.0
-			for i, res := range results {
-				if res.Err != nil {
-					log.Fatal(res.Err)
-				}
+			for i, res := range run(tb, eng, policy, jobs...) {
 				if res.End > makespan {
 					makespan = res.End
 				}

@@ -89,20 +89,9 @@ type Cluster struct {
 	npr   int // nodes per rack
 }
 
-// New builds a cluster on a fresh simulation engine with the default
-// (fast) kernel fidelity.
+// New builds a cluster on a fresh simulation engine.
 func New(hw Hardware) *Cluster {
-	eng := sim.NewEngine()
-	return NewOn(eng, hw)
-}
-
-// NewWith builds a cluster on a fresh engine with the given kernel
-// fidelity — FidelityReference selects the original full-rescan fluid
-// allocators that the golden-timing pins were captured against.
-func NewWith(hw Hardware, f sim.Fidelity) *Cluster {
-	eng := sim.NewEngine()
-	eng.SetFidelity(f)
-	return NewOn(eng, hw)
+	return NewOn(sim.NewEngine(), hw)
 }
 
 // NewOn builds a cluster on an existing engine, allowing several clusters

@@ -52,7 +52,6 @@ type Config struct {
 
 	CPUPerByteO    float64 // core-sec per nominal input byte in O tasks (native code)
 	CPUPerByteA    float64 // core-sec per nominal buffered byte in A tasks
-	CPUPerByteEmit float64 // serialization/partitioning cost per emitted nominal byte
 	CPUPerByteSort float64
 	CPUPerRecord   float64
 	OverheadFactor float64 // background library overhead per task core-sec
@@ -78,10 +77,9 @@ type Config struct {
 	RestartDelay float64
 
 	// Transport overrides the engine's staged communication profile
-	// (transport.DataMPIProfile when unset, i.e. Name == ""). The
-	// legacy CPUPerByteEmit field above is a deprecated alias: when
-	// Transport is unset it populates the profile's EmitCPUPerByte, so
-	// existing callers keep their exact serialization cost.
+	// (transport.DataMPIProfile when unset, i.e. Name == ""); its
+	// EmitCPUPerByte is the serialization/partitioning cost per emitted
+	// nominal byte.
 	Transport transport.Profile
 }
 
@@ -96,7 +94,6 @@ func DefaultConfig() Config {
 		ABufferBytes:    512 * cluster.MB,
 		CPUPerByteO:     0.32e-7, // native record processing, ~2x leaner than JVM
 		CPUPerByteA:     0.50e-7,
-		CPUPerByteEmit:  0.45e-7,
 		CPUPerByteSort:  0.25e-7,
 		CPUPerRecord:    0.5e-6,
 		OverheadFactor:  0.08,
@@ -131,7 +128,6 @@ func New(fs *dfs.FS, cfg Config) *Engine {
 	prof := cfg.Transport
 	if prof.Name == "" {
 		prof = transport.DataMPIProfile()
-		prof.EmitCPUPerByte = cfg.CPUPerByteEmit // deprecated alias
 	}
 	return &Engine{C: fs.Cluster(), FS: fs, Cfg: cfg, tp: transport.New(fs.Cluster(), prof)}
 }

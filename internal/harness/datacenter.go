@@ -85,7 +85,7 @@ func init() {
 				batch, users, perUser = 60, 12, 5
 				rate, think = 0.4, 30.0
 			}
-			rc := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1), Fidelity: opt.Fidelity}
+			rc := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1)}
 			srep, err := runDatacenter(rc, nominalGB*cluster.GB, batch, users, perUser, rate, think)
 			if err != nil {
 				return nil, err

@@ -34,7 +34,7 @@ func init() {
 			// work on the gateway. With the paper's 3 random replicas a
 			// balanced wave almost always finds a local copy and the knob
 			// has nothing to buy.
-			rc := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1), Replication: 1, Gateway: true, Fidelity: opt.Fidelity}
+			rc := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1), Replication: 1, Gateway: true}
 			nominal := nominalGB * cluster.GB
 			jobs := mixJobs()
 			rows, err := sweep(len(slacks), func(i int) ([]string, error) {

@@ -123,7 +123,7 @@ func init() {
 				replAxis = []int{1, 3}
 				nominalGB = 4.0
 			}
-			baseRC := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1), Fidelity: opt.Fidelity}
+			baseRC := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1)}
 			nominal := nominalGB * cluster.GB
 
 			// The case list: the original flat-topology kill sweep at

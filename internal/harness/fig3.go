@@ -122,7 +122,7 @@ func init() {
 			sizes := microSizes(opt.Quick, []float64{4, 8, 16, 32})
 			rows, err := sweep(len(sizes), func(i int) ([]string, error) {
 				gb := sizes[i]
-				rc := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1), Fidelity: opt.Fidelity}
+				rc := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1)}
 				h, _ := runMicro(Hadoop, wlNormalSort, gb, rc)
 				d, _ := runMicro(DataMPI, wlNormalSort, gb, rc)
 				s, _ := runMicro(Spark, wlNormalSort, gb, rc)
@@ -151,7 +151,7 @@ func init() {
 			sizes := microSizes(opt.Quick, []float64{8, 16, 32, 64})
 			rows, err := sweep(len(sizes), func(i int) ([]string, error) {
 				gb := sizes[i]
-				rc := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1), Fidelity: opt.Fidelity}
+				rc := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1)}
 				h, _ := runMicro(Hadoop, wlTextSort, gb, rc)
 				s, _ := runMicro(Spark, wlTextSort, gb, rc)
 				d, _ := runMicro(DataMPI, wlTextSort, gb, rc)
@@ -183,7 +183,7 @@ func init() {
 			sizes := microSizes(opt.Quick, []float64{8, 16, 32, 64})
 			rows, err := sweep(len(sizes), func(i int) ([]string, error) {
 				gb := sizes[i]
-				rc := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1), Fidelity: opt.Fidelity}
+				rc := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1)}
 				h, _ := runMicro(Hadoop, wlWordCount, gb, rc)
 				s, _ := runMicro(Spark, wlWordCount, gb, rc)
 				d, _ := runMicro(DataMPI, wlWordCount, gb, rc)
@@ -212,7 +212,7 @@ func init() {
 			sizes := microSizes(opt.Quick, []float64{8, 16, 32, 64})
 			rows, err := sweep(len(sizes), func(i int) ([]string, error) {
 				gb := sizes[i]
-				rc := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1), Fidelity: opt.Fidelity}
+				rc := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1)}
 				h, _ := runMicro(Hadoop, wlGrep, gb, rc)
 				s, _ := runMicro(Spark, wlGrep, gb, rc)
 				d, _ := runMicro(DataMPI, wlGrep, gb, rc)

@@ -24,7 +24,7 @@ func init() {
 					wl microWorkload
 					gb float64
 				}{{wlTextSort, 8}, {wlWordCount, 32}, {wlGrep, 16}} {
-					res, _ := runMicro(fw, m.wl, m.gb, RigConfig{Scale: scale, Seed: opt.seedOr(1), Fidelity: opt.Fidelity})
+					res, _ := runMicro(fw, m.wl, m.gb, RigConfig{Scale: scale, Seed: opt.seedOr(1)})
 					if res.Err != nil {
 						// OOM counts as the slowest observed system.
 						return -1
@@ -37,7 +37,7 @@ func init() {
 
 			// 2. Small job performance: WordCount at 128MB, 1 task/node.
 			small := func(fw Framework) float64 {
-				rig := NewRig(fw, RigConfig{Scale: opt.scaleOr(512), TasksPerNode: 1, Seed: opt.seedOr(1), BlockSize: 16 * cluster.MB, Fidelity: opt.Fidelity})
+				rig := NewRig(fw, RigConfig{Scale: opt.scaleOr(512), TasksPerNode: 1, Seed: opt.seedOr(1), BlockSize: 16 * cluster.MB})
 				in := bdb.GenerateTextFile(rig.FS, "/s/text", bdb.LDAWiki1W(), opt.seedOr(1), 128*cluster.MB)
 				res := rig.Engine.Run(bdb.WordCountSpec(rig.FS, in, "/s/out", rig.Cluster.N()))
 				if res.Err != nil {
@@ -49,7 +49,7 @@ func init() {
 
 			// 3. Application performance: K-means 16GB first iteration.
 			app := func(fw Framework) float64 {
-				rig := NewRig(fw, RigConfig{Scale: opt.scaleOr(16384), Seed: opt.seedOr(1), Fidelity: opt.Fidelity})
+				rig := NewRig(fw, RigConfig{Scale: opt.scaleOr(16384), Seed: opt.seedOr(1)})
 				in, _ := bdb.GenerateVectorFile(rig.FS, "/a/vec", opt.seedOr(1), 16*cluster.GB)
 				switch fw {
 				case Spark:

@@ -155,7 +155,6 @@ func KernelScale(nodes, tasks, slotsPerNode int, seed int64) (ScaleResult, error
 	start := time.Now()
 
 	eng := sim.NewEngine()
-	eng.SetFidelity(sim.FidelityFast)
 	fabric := sim.NewFabric(eng, nodes, 117*cluster.MB)
 	h := &scaleHarness{eng: eng, fabric: fabric, script: script, tasks: tasks,
 		cpus:  make([]*sim.PSResource, nodes),

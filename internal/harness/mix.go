@@ -111,7 +111,7 @@ func init() {
 				nominalGB = 4.0
 			}
 			jobs := mixJobs()
-			rc := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1), Fidelity: opt.Fidelity}
+			rc := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1)}
 			nominal := nominalGB * cluster.GB
 
 			for _, fw := range frameworks {

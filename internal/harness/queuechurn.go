@@ -113,7 +113,7 @@ func QueueChurn(jobs int, seed int64) (QueueChurnResult, error) {
 	runtime.ReadMemStats(&before)
 	start := time.Now()
 
-	c := cluster.NewWith(cluster.DefaultHardware(), sim.FidelityFast)
+	c := cluster.New(cluster.DefaultHardware())
 	e := &churnEngine{c: c, seed: seed + 1000}
 	q := sched.NewQueue(c.Eng, c.N(), sched.Fair)
 	q.SetSpeculation(sched.SpeculationConfig{Enabled: true})

@@ -95,7 +95,7 @@ func init() {
 				jobsPerTenant = 7 // 21 jobs, still a ≥20-job trace
 				nominalGB = 1.0
 			}
-			rc := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1), Fidelity: opt.Fidelity}
+			rc := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1)}
 			srep, err := runTenants(rc, nominalGB*cluster.GB, jobsPerTenant)
 			if err != nil {
 				return nil, err

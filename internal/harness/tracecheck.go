@@ -85,7 +85,7 @@ func init() {
 				Columns: []string{"Framework", "Elapsed(s)", "Spans", "PathSegs", "Net(s)", "NetShare", "Phases"}}
 			netShare := map[Framework]float64{}
 			for _, fw := range []Framework{Hadoop, Spark, DataMPI} {
-				rc := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1), Fidelity: opt.Fidelity}
+				rc := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1)}
 				res, tr := runTracedSort(fw, gb, rc)
 				if res.Err != nil {
 					rep.Rows = append(rep.Rows, []string{fw.String(), resultCell(res), "-", "-", "-", "-", "-"})

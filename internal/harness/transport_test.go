@@ -8,10 +8,7 @@ import (
 	datampi "github.com/datampi/datampi-go"
 	"github.com/datampi/datampi-go/internal/bdb"
 	"github.com/datampi/datampi-go/internal/cluster"
-	"github.com/datampi/datampi-go/internal/core"
 	"github.com/datampi/datampi-go/internal/job"
-	"github.com/datampi/datampi-go/internal/mr"
-	"github.com/datampi/datampi-go/internal/rdd"
 	"github.com/datampi/datampi-go/internal/transport"
 )
 
@@ -52,19 +49,19 @@ func transportRun(t *testing.T, fw Framework, prof transport.Profile, nominal fl
 }
 
 // zeroStageProfile is a profile with every staged cost zero but the
-// engine's own legacy emit constant as the alias target, so enabling
-// the transport with it must not move any timing.
+// engine's default emit constant, so enabling the transport with it
+// must not move any timing.
 func zeroStageProfile(fw Framework) transport.Profile {
-	p := transport.Profile{Name: "zerostage"}
+	var def transport.Profile
 	switch fw {
 	case Hadoop:
-		p.EmitCPUPerByte = mr.DefaultConfig().CPUPerByteSort
+		def = transport.HadoopProfile()
 	case Spark:
-		p.EmitCPUPerByte = rdd.DefaultConfig().CPUPerByteShuffle
+		def = transport.SparkProfile()
 	case DataMPI:
-		p.EmitCPUPerByte = core.DefaultConfig().CPUPerByteEmit
+		def = transport.DataMPIProfile()
 	}
-	return p
+	return transport.Profile{Name: "zerostage", EmitCPUPerByte: def.EmitCPUPerByte}
 }
 
 // TestTransportDifferential pins the compatibility contract per

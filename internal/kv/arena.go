@@ -1,9 +1,6 @@
 package kv
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Record batching: instead of allocating two byte slices per emitted
 // record (the dominant allocation source in the figure benchmarks), an
@@ -28,21 +25,6 @@ import (
 // slices: big enough to amortize, small enough not to strand memory.
 const DefaultBlockBytes = 64 << 10
 
-// batching is the package-wide knob for the differential battery: when
-// off, NewArena returns nil and the nil-receiver methods fall back to
-// the historical clone-per-record path.
-var batching atomic.Bool
-
-func init() { batching.Store(true) }
-
-// SetBatching toggles block-granularity record batching (on by
-// default). The differential tests pin batched-vs-unbatched outputs
-// against each other; simulation results are identical either way.
-func SetBatching(on bool) { batching.Store(on) }
-
-// BatchingEnabled reports whether record batching is on.
-func BatchingEnabled() bool { return batching.Load() }
-
 // blockPool recycles arena blocks released by airtight lifecycles.
 var blockPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, DefaultBlockBytes)
@@ -50,27 +32,17 @@ var blockPool = sync.Pool{New: func() any {
 }}
 
 // Arena is a bump allocator over pooled blocks. The zero value is
-// ready; a nil *Arena is also valid and clones per record (the
-// unbatched path).
+// ready.
 type Arena struct {
 	cur  []byte    // block being filled
 	held []*[]byte // pool-origin blocks retained for Release
 }
 
-// NewArena returns a fresh arena, or nil when batching is disabled so
-// call sites transparently fall back to per-record clones.
-func NewArena() *Arena {
-	if !batching.Load() {
-		return nil
-	}
-	return &Arena{}
-}
+// NewArena returns a fresh arena.
+func NewArena() *Arena { return &Arena{} }
 
 // Copy copies b into the arena and returns a capacity-bounded sub-slice.
 func (a *Arena) Copy(b []byte) []byte {
-	if a == nil {
-		return append([]byte(nil), b...)
-	}
 	n := len(b)
 	if n > cap(a.cur)-len(a.cur) {
 		if n >= DefaultBlockBytes/4 {
@@ -96,9 +68,6 @@ func (a *Arena) CopyPair(key, value []byte) Pair {
 // Release returns every block to the shared pool. Only safe when no
 // record cut from this arena is still referenced.
 func (a *Arena) Release() {
-	if a == nil {
-		return
-	}
 	for _, bp := range a.held {
 		*bp = (*bp)[:0]
 		blockPool.Put(bp)

@@ -16,7 +16,7 @@ type PartitionCollector struct {
 	spills   int
 	spillB   int // total bytes spilled
 
-	arena *Arena // record bytes batched into blocks (nil = clone per record)
+	arena *Arena // record bytes batched into blocks
 }
 
 // NewPartitionCollector creates a collector for nParts partitions.

@@ -62,12 +62,10 @@ type Config struct {
 	OutputReplication int
 
 	// Transport overrides the engine's staged communication profile
-	// (transport.HadoopProfile when unset, i.e. Name == ""). The
-	// CPUPerByteSort field above is mr's inline serialization constant:
-	// when Transport is unset it populates the profile's EmitCPUPerByte
-	// (map-side spill/output serialization), so existing callers keep
-	// their exact cost. Merge passes still read CPUPerByteSort directly
-	// — merging is sorting, not serialization.
+	// (transport.HadoopProfile when unset, i.e. Name == ""). Map-side
+	// spill/output serialization is charged at the profile's
+	// EmitCPUPerByte; merge passes read CPUPerByteSort — merging is
+	// sorting, not serialization.
 	Transport transport.Profile
 }
 
@@ -120,7 +118,6 @@ func New(fs *dfs.FS, cfg Config) *Engine {
 	prof := cfg.Transport
 	if prof.Name == "" {
 		prof = transport.HadoopProfile()
-		prof.EmitCPUPerByte = cfg.CPUPerByteSort // deprecated alias
 	}
 	return &Engine{C: fs.Cluster(), FS: fs, Cfg: cfg, tp: transport.New(fs.Cluster(), prof)}
 }
@@ -529,8 +526,7 @@ func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk
 	mem.MustAlloc(heap)
 	defer mem.FreeLazy(e.C.Eng, heap, cfg.HeapLingerSecs)
 
-	// Spill/output serialization reads the consolidated profile constant
-	// (CPUPerByteSort populates it as a deprecated alias).
+	// Spill/output serialization reads the transport profile's constant.
 	cpuSec := spec.CPUAdjust(e.Name()) * (cfg.CPUPerByteMap*spec.MapCPUFactor*inflatedNominal +
 		cfg.CPUPerRecord*nominalRecords +
 		e.tp.Profile().EmitCPUPerByte*(float64(spillActual+outActual)*emitScale))

@@ -28,6 +28,15 @@ type stage struct {
 	// starts and the action fails cleanly for the caller to resubmit.
 	fromCache bool
 	cache     []partData
+
+	// producer is the stage planned to materialize root's cache earlier
+	// in this action (nil when the cache was resident at plan time). If
+	// that materialization did not fit in executor memory, this stage
+	// recomputes root from the producer's lineage instead, fed by the
+	// producer's own shuffle input (in, inFetch).
+	producer *stage
+	in       []partData
+	inFetch  *stageFetch
 }
 
 // plan walks the lineage and produces stages bottom-up, linking each
@@ -48,10 +57,11 @@ func plan(r *RDD) []*stage {
 				// Cut the stage at a cached parent: the parent is
 				// materialized (and pinned) by its own stage, then this
 				// chain reads from the cache.
-				if !par.inCache {
-					stages = append(stages, walk(par))
-				}
 				st = &stage{root: par, target: par, fromCache: true, cache: par.cacheData}
+				if !par.inCache {
+					st.producer = walk(par)
+					stages = append(stages, st.producer)
+				}
 			} else {
 				st = walk(par)
 			}
@@ -287,13 +297,24 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, shuffleIn []partData, pre
 
 	var tasks []taskIn
 
+	if st.fromCache && st.cache == nil {
+		// The producing stage ran earlier in this action; pick up its
+		// materialized partitions now.
+		st.cache = st.root.cacheData
+		if st.cache == nil && st.root.evicted {
+			// They did not fit in executor memory, so Spark never cached
+			// them: recompute from lineage like any uncached RDD, reading
+			// whatever the producer read.
+			p := st.producer
+			st.root, st.fromCache, st.cache = p.root, p.fromCache, p.cache
+			st.narrow = append(append([]*narrowOp(nil), p.narrow...), st.narrow...)
+			shuffleIn, prevFetch = p.in, p.inFetch
+		}
+	}
+	st.in, st.inFetch = shuffleIn, prevFetch
+
 	switch {
 	case st.fromCache:
-		if st.cache == nil {
-			// The producing stage ran earlier in this action; pick up its
-			// materialized partitions now.
-			st.cache = st.root.cacheData
-		}
 		if st.cache == nil {
 			// The cache was invalidated (node failure) between planning and
 			// this stage, and re-materialization did not land. Fail the
@@ -418,7 +439,8 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, shuffleIn []partData, pre
 			}
 		}
 		// If it does not fit, Spark silently evicts: the RDD is simply
-		// not cached and later actions recompute it.
+		// not cached and its consumers recompute it from lineage.
+		st.target.evicted = !fits
 	}
 	_ = scale
 	return results, nf, nil

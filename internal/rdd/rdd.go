@@ -36,15 +36,10 @@ type Config struct {
 	CPUPerByteMap    float64
 	CPUPerByteReduce float64
 	CPUPerByteSort   float64
-	// CPUPerByteShuffle is the shuffle-write serialization cost per
-	// nominal byte. Deprecated alias: when Transport is unset it
-	// populates the profile's EmitCPUPerByte, so existing callers keep
-	// their exact cost.
-	CPUPerByteShuffle float64
-	CacheCPUPerByte   float64 // building cached RDD objects per nominal byte
-	CPUPerRecord      float64
-	GCFactor          float64
-	MemPressureGC     float64 // GC storm overhead above 60% node memory
+	CacheCPUPerByte  float64 // building cached RDD objects per nominal byte
+	CPUPerRecord     float64
+	GCFactor         float64
+	MemPressureGC    float64 // GC storm overhead above 60% node memory
 
 	// ExpansionFactor is the in-memory size of data as JVM objects
 	// relative to its serialized bytes; SortOverheadFactor is the extra
@@ -75,7 +70,6 @@ func DefaultConfig() Config {
 		CPUPerByteMap:      0.28e-7,
 		CPUPerByteReduce:   0.35e-7,
 		CPUPerByteSort:     0.20e-7,
-		CPUPerByteShuffle:  0.8e-7,
 		CacheCPUPerByte:    1.0e-7,
 		CPUPerRecord:       0.8e-6,
 		GCFactor:           0.35,
@@ -126,7 +120,6 @@ func New(fs *dfs.FS, cfg Config) *Engine {
 	prof := cfg.Transport
 	if prof.Name == "" {
 		prof = transport.SparkProfile()
-		prof.EmitCPUPerByte = cfg.CPUPerByteShuffle // deprecated alias
 	}
 	e := &Engine{C: fs.Cluster(), FS: fs, Cfg: cfg, tp: transport.New(fs.Cluster(), prof)}
 	fs.OnNodeEvent(func(node int, down bool) {
@@ -200,7 +193,8 @@ type RDD struct {
 	cached    bool
 	cacheData []partData // materialized when cached and computed
 	inCache   bool
-	lostParts int // cached partitions dropped with failed nodes, awaiting recompute accounting
+	evicted   bool // last materialization did not fit in executor memory
+	lostParts int  // cached partitions dropped with failed nodes, awaiting recompute accounting
 }
 
 type narrowOp struct {

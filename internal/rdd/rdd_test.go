@@ -272,6 +272,83 @@ func TestCacheLossRecompute(t *testing.T) {
 	}
 }
 
+// TestEvictedCacheRecomputesFromLineage: a cached RDD whose partitions
+// do not fit in executor memory is silently left uncached (Spark's
+// eviction), and an action reading through it recomputes from lineage
+// instead of failing as if a node had been lost mid-job. Covers cached
+// RDDs rooted at a source, a narrow chain and a shuffle, and one cached
+// RDD over another.
+func TestEvictedCacheRecomputesFromLineage(t *testing.T) {
+	words := func(k, v []byte, emit job.Emit) {
+		for _, w := range bytes.Fields(v) {
+			emit(w, []byte("1"))
+		}
+	}
+	// Counting values (not summing them) makes a second application
+	// to already-reduced pairs visible: it would report 1 per word.
+	count := func(key []byte, values [][]byte) []kv.Pair {
+		return []kv.Pair{{Key: key, Value: kv.FormatInt(int64(len(values)))}}
+	}
+	ident := func(k, v []byte, emit job.Emit) { emit(k, v) }
+	// build returns the RDD under test; cache marks an RDD cached (or
+	// leaves it alone, for the uncached run the results are held to).
+	lineages := []struct {
+		name  string
+		build func(src *RDD, cache func(*RDD) *RDD) *RDD
+	}{
+		{"source", func(src *RDD, cache func(*RDD) *RDD) *RDD { return cache(src) }},
+		{"narrow", func(src *RDD, cache func(*RDD) *RDD) *RDD { return cache(src.FlatMapKV(words, 1)) }},
+		{"wide", func(src *RDD, cache func(*RDD) *RDD) *RDD {
+			return cache(src.FlatMapKV(words, 1).GroupByKey(count, 4))
+		}},
+		{"nested", func(src *RDD, cache func(*RDD) *RDD) *RDD {
+			return cache(cache(src.FlatMapKV(words, 1)).FlatMapKV(ident, 1))
+		}},
+	}
+	for _, lin := range lineages {
+		t.Run(lin.name, func(t *testing.T) {
+			run := func(cache bool) (*RDD, [][]kv.Pair) {
+				c := cluster.New(cluster.DefaultHardware())
+				fs := dfs.New(c, dfs.Config{BlockSize: 16 * cluster.KB, Replication: 3, Scale: 1, Seed: 1, PerBlockOverhead: 0.05})
+				cfg := DefaultConfig()
+				cfg.WorkerHeap = 1 * cluster.KB // far below any node's share of the cached RDD
+				eng := New(fs, cfg)
+				in := fs.PreloadAligned("/in", genText(13, 128*1024), '\n')
+				mark := func(r *RDD) *RDD { return r }
+				if cache {
+					mark = (*RDD).Cache
+				}
+				base := lin.build(eng.TextFile(in), mark)
+				var outs [][]kv.Pair
+				for action := 0; action < 2; action++ {
+					out, res := base.FlatMapKV(ident, 1).Collect()
+					if res.Err != nil {
+						t.Fatalf("cache=%v action %d: %v", cache, action, res.Err)
+					}
+					outs = append(outs, out)
+				}
+				return base, outs
+			}
+			cached, got := run(true)
+			if cached.inCache || !cached.evicted {
+				t.Fatalf("oversized RDD: inCache=%v evicted=%v, want evicted", cached.inCache, cached.evicted)
+			}
+			_, want := run(false)
+			for action := range want {
+				if len(got[action]) == 0 || len(got[action]) != len(want[action]) {
+					t.Fatalf("action %d: %d records, uncached lineage gives %d", action, len(got[action]), len(want[action]))
+				}
+				for i := range want[action] {
+					if kv.Compare(got[action][i], want[action][i]) != 0 {
+						t.Fatalf("action %d record %d: %q=%q, uncached lineage gives %q=%q", action, i,
+							got[action][i].Key, got[action][i].Value, want[action][i].Key, want[action][i].Value)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestCollectReturnsData(t *testing.T) {
 	_, fs, eng := testSetup(8*cluster.KB, 1)
 	data := genText(6, 8*1024)

@@ -108,7 +108,7 @@ func scaleTrace(jobs int, seed int64) []scaleTraceEntry {
 }
 
 func runScaleTrace(jobs int, seed int64, discard bool) (*sched.Queue, *stubEngine, []string) {
-	c := cluster.NewWith(cluster.DefaultHardware(), sim.FidelityFast)
+	c := cluster.New(cluster.DefaultHardware())
 	e := &stubEngine{c: c, tasksPerJob: 2, slotsPerNode: 4, seed: seed + 500}
 	q := sched.NewQueue(c.Eng, c.N(), sched.Fair)
 	q.DiscardSettled(discard)

@@ -86,14 +86,12 @@ func (h *eventHeap) Pop() any {
 // Engine is a deterministic discrete-event simulation kernel.
 // The zero value is not usable; create engines with NewEngine.
 type Engine struct {
-	now      float64
-	seq      int64
-	events   eventHeap
-	parked   chan struct{} // signaled by a proc when it parks or exits
-	procs    map[*Proc]struct{}
-	nlive    int
-	trace    func(string)
-	fidelity Fidelity
+	now    float64
+	seq    int64
+	events eventHeap
+	parked chan struct{} // signaled by a proc when it parks or exits
+	procs  map[*Proc]struct{}
+	nlive  int
 
 	// blocked counts parked procs by (block reason, node), maintained at
 	// Park/resume so the metrics profiler's wait-I/O attribution is O(1)
@@ -118,15 +116,6 @@ func NewEngine() *Engine {
 
 // Now returns the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }
-
-// SetTrace installs a debug trace sink. A nil sink disables tracing.
-func (e *Engine) SetTrace(fn func(string)) { e.trace = fn }
-
-func (e *Engine) tracef(format string, args ...any) {
-	if e.trace != nil {
-		e.trace(fmt.Sprintf("[%10.3f] ", e.now) + fmt.Sprintf(format, args...))
-	}
-}
 
 // Schedule arranges for fn to run at now+delay on the kernel goroutine.
 // A negative delay is treated as zero. The returned Timer may be canceled.

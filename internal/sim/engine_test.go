@@ -311,3 +311,84 @@ func TestMemoryMustAllocOvercommits(t *testing.T) {
 		t.Fatalf("used = %v after free", m.Used())
 	}
 }
+
+// TestTimerCancelShrinksHeap pins the O(log n) cancel: cancelled timers
+// must leave the event heap immediately instead of rotting as ghost
+// entries until their deadline. Under speculation/preemption churn the
+// ghost population previously grew without bound.
+func TestTimerCancelShrinksHeap(t *testing.T) {
+	e := NewEngine()
+	const n = 10000
+	timers := make([]*Timer, n)
+	for i := 0; i < n; i++ {
+		timers[i] = e.Schedule(1e6+float64(i), func() {})
+	}
+	if got := len(e.events); got != n {
+		t.Fatalf("heap size = %d, want %d", got, n)
+	}
+	for i, tm := range timers {
+		if i%10 != 0 { // cancel 90%
+			tm.Cancel()
+		}
+	}
+	if got := len(e.events); got != n/10 {
+		t.Fatalf("heap size after cancel churn = %d, want %d (ghost entries rotting)", got, n/10)
+	}
+	// Double-cancel and cancel-after-fire are no-ops.
+	timers[1].Cancel()
+	fired := 0
+	e.Schedule(0, func() { fired++ })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 1 {
+		t.Fatalf("fired = %d", fired)
+	}
+	timers[0].Cancel() // already fired
+	if len(e.events) != 0 {
+		t.Fatalf("heap not empty after run: %d", len(e.events))
+	}
+}
+
+// TestRunUntilTimeBackwardsGuard pins the RunUntil half of the
+// time-went-backwards check: an event stamped before the current clock
+// must error out, exactly as in Run.
+func TestRunUntilTimeBackwardsGuard(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(5, func() {
+		// Forge a corrupted event in the past (Schedule clamps negative
+		// delays, so build the timer directly, as a kernel bug would).
+		bad := &Timer{eng: e, fn: func() {}, at: 1, seq: e.seq, index: -1}
+		e.seq++
+		e.events = append(e.events, bad)
+		bad.index = len(e.events) - 1
+	})
+	if _, err := e.RunUntil(10); err == nil {
+		t.Fatal("RunUntil accepted an event in the past")
+	}
+}
+
+// TestSleepAfterEarlyWake re-sleeps a proc whose Sleep was cut short by
+// an external Unpark: the reusable sleep timer must be superseded, not
+// pushed into the event heap a second time (which would alias two heap
+// slots and hang or corrupt the schedule).
+func TestSleepAfterEarlyWake(t *testing.T) {
+	e := NewEngine()
+	var wakes []float64
+	p := e.Go("sleeper", func(p *Proc) {
+		p.Sleep(10) // cut short at t=1 by the unpark below
+		wakes = append(wakes, e.Now())
+		p.Sleep(5) // must supersede the still-pending t=10 wake-up
+		wakes = append(wakes, e.Now())
+	})
+	e.Schedule(1, func() { p.Unpark() })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(wakes) != 2 || wakes[0] != 1 || wakes[1] != 6 {
+		t.Fatalf("wakes = %v, want [1 6]", wakes)
+	}
+	if len(e.events) != 0 {
+		t.Fatalf("ghost events left in heap: %d", len(e.events))
+	}
+}

@@ -6,18 +6,18 @@ import (
 	"sort"
 )
 
-// Incremental max-min fabric: the fast (FidelityFast) allocator.
+// Incremental max-min fabric: the Fabric allocator.
 //
 // Max-min fair allocations decompose over connected components of the
 // flow-link incidence graph: a flow arrival or completion can only change
 // rates within the component reachable from the links it touches. The
-// fast path therefore keeps a per-link registry of flows (in maintained
-// (Src, Dst, seq) sorted order — the same order the reference allocator
-// obtains by re-sorting everything each event) and, on each flow event,
-// refills only the dirty component instead of re-sorting and re-filling
-// the whole fabric. Within the component the progressive filling visits
-// links and flows in exactly the reference order, so the assigned rates
-// match the reference allocator bit-for-bit.
+// fabric therefore keeps a per-link registry of flows (in maintained
+// (Src, Dst, seq) sorted order) and, on each flow event, refills only the
+// dirty component instead of re-sorting and re-filling the whole fabric.
+// Within the component the progressive filling visits links and flows in
+// the same order a whole-fabric refill would, so the assigned rates match
+// the per-event rescan allocator (kept as a test oracle in
+// oracle_test.go) bit-for-bit.
 //
 // Completions come off a min-heap keyed by predicted absolute finish
 // time; flows whose rate did not change in a refill keep their heap entry
@@ -57,7 +57,7 @@ func (h *flowHeap) Pop() any {
 	return f
 }
 
-// flowLess is the registry (and reference-callback) order.
+// flowLess is the registry (and completion-callback) order.
 func flowLess(a, b *Flow) bool {
 	if a.Src != b.Src {
 		return a.Src < b.Src
@@ -99,15 +99,15 @@ func (fb *Fabric) settleNode(i int) {
 	fb.txIntegral[i] += fb.txRate[i] * dt
 }
 
-// fastStart admits a flow: complete anything that finished on the way
+// start admits a flow: complete anything that finished on the way
 // here, register the newcomer, refill its component, rearm the timer.
-func (fb *Fabric) fastStart(f *Flow) {
+func (fb *Fabric) start(f *Flow) {
 	now := fb.eng.now
 	f.seq = fb.seqCtr
 	fb.seqCtr++
 	f.settledAt = now
 	f.hidx = -1
-	dirty := fb.fastCollect()
+	dirty := fb.collect()
 	if f.Src == f.Dst {
 		f.loop = true
 		f.rate = fb.loopbackBW
@@ -125,22 +125,22 @@ func (fb *Fabric) fastStart(f *Flow) {
 	if len(dirty) > 0 {
 		fb.refill(dirty)
 	}
-	fb.fastProgram()
+	fb.program()
 }
 
-// fastTick is the completion-timer body.
-func (fb *Fabric) fastTick() {
-	dirty := fb.fastCollect()
+// tick is the completion-timer body.
+func (fb *Fabric) tick() {
+	dirty := fb.collect()
 	if len(dirty) > 0 {
 		fb.refill(dirty)
 	}
-	fb.fastProgram()
+	fb.program()
 }
 
-// fastCollect pops every finished flow off the completion heap, fires its
-// callback in the reference order ((Src, Dst), then start order), and
+// collect pops every finished flow off the completion heap, fires its
+// callback in (Src, Dst), then start order, and
 // returns the links those flows vacated.
-func (fb *Fabric) fastCollect() []int {
+func (fb *Fabric) collect() []int {
 	fb.dirty = fb.dirty[:0]
 	if len(fb.cheap) == 0 {
 		return fb.dirty
@@ -185,9 +185,9 @@ func (fb *Fabric) fastCollect() []int {
 
 // refill recomputes max-min rates for the connected component of links
 // reachable from the dirty set, leaving every other flow untouched. The
-// progressive filling replicates the reference allocator's visiting
-// order: bottleneck links by smallest fair share (ties to the lowest link
-// index), flows within a bottleneck in (Src, Dst, seq) order.
+// progressive filling visits bottleneck links by smallest fair share
+// (ties to the lowest link index) and flows within a bottleneck in
+// (Src, Dst, seq) order, as a whole-fabric refill would.
 func (fb *Fabric) refill(dirtyLinks []int) {
 	fb.fillEpoch++
 	ep := fb.fillEpoch
@@ -303,11 +303,11 @@ func (fb *Fabric) applyRate(f *Flow, rate, now float64) {
 	heap.Fix(&fb.cheap, f.hidx)
 }
 
-// fastProgram arms the completion timer for the earliest predicted
+// program arms the completion timer for the earliest predicted
 // finisher, reusing one Timer allocation for the fabric's lifetime.
-func (fb *Fabric) fastProgram() {
+func (fb *Fabric) program() {
 	if fb.vtimer == nil {
-		fb.vtimer = &Timer{eng: fb.eng, index: -1, fn: fb.fastTick}
+		fb.vtimer = &Timer{eng: fb.eng, index: -1, fn: fb.tick}
 	} else {
 		fb.vtimer.Cancel()
 	}

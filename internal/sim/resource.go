@@ -13,7 +13,7 @@ const workEpsilon = 1e-6
 // flowDone reports whether a fluid flow should be treated as complete:
 // either its remaining work is negligible in absolute terms, or less than
 // a nanosecond of work remains at its current rate. The second clause
-// absorbs floating-point residue after advance() — without it, completion
+// absorbs floating-point residue between events — without it, completion
 // timers can fire at ever-shrinking intervals and the simulation livelocks.
 func flowDone(remaining, rate float64) bool {
 	return remaining <= workEpsilon || (rate > 0 && remaining <= rate*1e-9)
@@ -36,53 +36,31 @@ type PSResource struct {
 	ThrashAllowance int
 	ThrashAlpha     float64
 
-	// ref selects the reference full-rescan allocator (FidelityReference,
-	// snapshot from the engine at construction). The virtual-time fast
-	// path also flips it on permanently if a start would create a state
-	// it cannot represent (heterogeneous weights with partial capping).
-	ref bool
-
-	// flows is kept in start order so iteration (rate allocation, float
-	// accumulation, completion callbacks) is deterministic across runs; a
-	// map here would randomize event ordering and with it whole schedules.
-	// Reference allocator only.
-	flows []*psFlow
-	last  float64 // time of the last advance/settle
-	timer *Timer
-
 	// Virtual-time allocator state (see resource_vtime.go): flows in a
 	// min-heap keyed by finish virtual time, with lazy per-flow
 	// accounting — no per-flow sweep on advance.
-	vheap       vtHeap
-	vt          float64 // current virtual time (normalized work served per unit weight)
-	vrate       float64 // dV/dt under the current flow population
-	vtimer      *Timer  // reusable completion timer
-	seqCtr      int64
-	totalWeight float64
-	weightCount map[float64]int // live flows per distinct weight
-	maxWeight   float64
-	vbatch      []*psFlow // completion scratch
+	last   float64 // time of the last settle
+	vheap  vtHeap
+	vt     float64 // current virtual time (work served per flow)
+	vrate  float64 // dV/dt under the current flow population
+	vtimer *Timer  // reusable completion timer
+	seqCtr int64
+	vbatch []*psFlow // completion scratch
 
 	busyIntegral float64 // ∫ usedRate dt, for average-utilization accounting
 	waiting      int     // procs currently blocked on this resource
 
-	// fpool is the fast path's flow free list: completed flows return
-	// here after their callback is dispatched (no caller holds psFlow
-	// handles — Use parks on Unpark, Start is fire-and-forget). The
-	// reference allocator keeps its historical allocate-per-flow
-	// behavior untouched.
+	// fpool is the flow free list: completed flows return here after
+	// their callback is dispatched (no caller holds psFlow handles — Use
+	// parks on Unpark, Start is fire-and-forget).
 	fpool []*psFlow
 }
 
+// psFlow is one in-progress flow: it completes when the resource's
+// virtual clock reaches finishV; seq is the start order, used to fire
+// same-instant completions in start order.
 type psFlow struct {
-	remaining float64
-	rate      float64
-	onDone    func()
-	weight    float64
-
-	// Virtual-time allocator fields: the flow completes when the
-	// resource's virtual clock reaches finishV; seq is the start order,
-	// used to fire same-instant completions in reference order.
+	onDone  func()
 	finishV float64
 	seq     int64
 }
@@ -101,7 +79,6 @@ func NewPSResource(eng *Engine, name string, capacity, perFlowCap float64) *PSRe
 		name:       name,
 		capacity:   capacity,
 		perFlowCap: perFlowCap,
-		ref:        eng.fidelity == FidelityReference,
 	}
 }
 
@@ -115,38 +92,26 @@ func (r *PSResource) Capacity() float64 { return r.capacity }
 // re-splitting in-flight flows at the new rates from the current instant.
 // Factors below 1 model degraded hardware (a thermally-throttled CPU, a
 // failing disk); the cluster layer's SlowNode perturbation is built on it.
+// The heap keys are virtual, so only dV/dt changes.
 func (r *PSResource) Rescale(factor float64) {
 	if factor <= 0 || math.IsNaN(factor) {
 		panic(fmt.Sprintf("sim: %s: Rescale factor must be positive, got %v", r.name, factor))
 	}
-	if !r.ref {
-		r.vtRescale(factor)
-		return
-	}
-	r.advance()
+	r.vtSettle()
+	r.vtCollect()
 	r.capacity *= factor
 	r.perFlowCap *= factor
-	r.reallocate()
+	r.vtProgram()
 }
 
 // Use consumes amount units, blocking the proc until the work completes
 // under fair sharing with all concurrent users. reason labels the proc's
 // blocked state for metrics.
 func (r *PSResource) Use(p *Proc, amount float64, reason string) {
-	r.UseWeighted(p, amount, 1, reason)
-}
-
-// UseWeighted is Use with a scheduling weight: a flow with weight w receives
-// w shares of the capacity relative to other flows.
-func (r *PSResource) UseWeighted(p *Proc, amount float64, weight float64, reason string) {
 	if amount <= workEpsilon {
 		return
 	}
-	if weight <= 0 {
-		weight = 1
-	}
-	f := r.newFlow(amount, weight, p.Unpark)
-	r.start(f)
+	r.vtStart(amount, p.Unpark)
 	r.waiting++
 	p.Park(reason)
 	r.waiting--
@@ -162,156 +127,17 @@ func (r *PSResource) Start(amount float64, onDone func()) {
 		}
 		return
 	}
-	r.start(r.newFlow(amount, 1, onDone))
-}
-
-// newFlow acquires a flow object: from the free list on the fast path,
-// freshly allocated on the reference path (whose allocator is pinned).
-func (r *PSResource) newFlow(amount, weight float64, onDone func()) *psFlow {
-	if r.ref {
-		return &psFlow{remaining: amount, weight: weight, onDone: onDone}
-	}
-	var f *psFlow
-	if n := len(r.fpool); n > 0 {
-		f = r.fpool[n-1]
-		r.fpool[n-1] = nil
-		r.fpool = r.fpool[:n-1]
-	} else {
-		f = &psFlow{}
-	}
-	*f = psFlow{remaining: amount, weight: weight, onDone: onDone}
-	return f
-}
-
-func (r *PSResource) start(f *psFlow) {
-	if !r.ref {
-		r.vtStart(f)
-		return
-	}
-	r.advance()
-	r.flows = append(r.flows, f)
-	r.reallocate()
-}
-
-// advance applies elapsed time to all flows at their current rates.
-// Reference allocator only.
-func (r *PSResource) advance() {
-	now := r.eng.now
-	dt := now - r.last
-	r.last = now
-	if dt <= 0 || len(r.flows) == 0 {
-		return
-	}
-	used := 0.0
-	for _, f := range r.flows {
-		f.remaining -= f.rate * dt
-		used += f.rate
-	}
-	r.busyIntegral += used * dt
-}
-
-// reallocate recomputes fair-share rates and schedules the next completion.
-func (r *PSResource) reallocate() {
-	if r.timer != nil {
-		r.timer.Cancel()
-		r.timer = nil
-	}
-	// Collect finished flows first (can happen after advance), keeping the
-	// survivors in start order.
-	var finished []*psFlow
-	kept := r.flows[:0]
-	for _, f := range r.flows {
-		if flowDone(f.remaining, f.rate) {
-			finished = append(finished, f)
-		} else {
-			kept = append(kept, f)
-		}
-	}
-	r.flows = kept
-	// Completion callbacks may start new flows; run them via the scheduler
-	// so state stays consistent.
-	for _, f := range finished {
-		if f.onDone != nil {
-			r.eng.Schedule(0, f.onDone)
-		}
-	}
-	if len(r.flows) == 0 {
-		return
-	}
-	totalWeight := 0.0
-	for _, f := range r.flows {
-		totalWeight += f.weight
-	}
-	effCap := r.capacity
-	if r.ThrashAlpha > 0 {
-		if over := len(r.flows) - r.ThrashAllowance; over > 0 {
-			effCap = r.capacity / (1 + r.ThrashAlpha*float64(over))
-		}
-	}
-	// Water-filling with the per-flow cap: capped flows return their excess
-	// to the pool. Two passes suffice because all uncapped flows share
-	// proportionally to weight.
-	capLeft := effCap
-	wLeft := totalWeight
-	for _, f := range r.flows {
-		share := effCap * f.weight / totalWeight
-		if share > r.perFlowCap {
-			f.rate = r.perFlowCap
-			capLeft -= r.perFlowCap
-			wLeft -= f.weight
-		} else {
-			f.rate = 0 // assigned below
-		}
-	}
-	if wLeft > 0 {
-		for _, f := range r.flows {
-			if f.rate == 0 {
-				f.rate = math.Min(r.perFlowCap, capLeft*f.weight/wLeft)
-			}
-		}
-	}
-	next := math.Inf(1)
-	for _, f := range r.flows {
-		if f.rate <= 0 {
-			continue
-		}
-		if t := f.remaining / f.rate; t < next {
-			next = t
-		}
-	}
-	if math.IsInf(next, 1) {
-		return
-	}
-	r.timer = r.eng.Schedule(next, func() {
-		r.advance()
-		r.reallocate()
-	})
+	r.vtStart(amount, onDone)
 }
 
 // UsedRate returns the instantaneous consumption rate in units/second.
-// O(1) on the virtual-time path (flows × normalized rate); the reference
-// allocator sums per-flow rates.
+// O(1): flows × per-flow rate.
 func (r *PSResource) UsedRate() float64 {
-	if !r.ref {
-		if len(r.vheap) == 0 {
-			return 0
-		}
-		return r.vrate * r.totalWeight
-	}
-	used := 0.0
-	for _, f := range r.flows {
-		used += f.rate
-	}
-	return used
+	return r.vrate * float64(len(r.vheap))
 }
 
 // ActiveFlows returns the number of in-progress flows.
-func (r *PSResource) ActiveFlows() int {
-	if !r.ref {
-		return len(r.vheap)
-	}
-	return len(r.flows)
-}
+func (r *PSResource) ActiveFlows() int { return len(r.vheap) }
 
 // Waiting returns the number of procs currently blocked in Use.
 func (r *PSResource) Waiting() int { return r.waiting }
@@ -319,11 +145,7 @@ func (r *PSResource) Waiting() int { return r.waiting }
 // BusyIntegral returns ∫ usedRate dt up to the last event; divide by the
 // window and capacity for average utilization.
 func (r *PSResource) BusyIntegral() float64 {
-	if !r.ref {
-		r.vtSettle()
-		return r.busyIntegral
-	}
-	r.advance()
+	r.vtSettle()
 	return r.busyIntegral
 }
 
