@@ -123,8 +123,6 @@ type (
 	// PathSeg is one interval of a critical path, attributed to its
 	// span's category.
 	PathSeg = trace.Seg
-	// PathCategory is one category's summed critical-path time.
-	PathCategory = trace.CatTotal
 )
 
 // Per-engine staged transport profiles (see internal/transport).
@@ -303,10 +301,6 @@ func ReadTextOutput(fs *dfs.FS, prefix string) []Pair {
 // RenderCriticalPath formats a critical path (Tracer.CriticalPath) as an
 // aligned table: the top-k segments by duration plus per-category totals.
 func RenderCriticalPath(segs []PathSeg, k int) string { return trace.RenderPath(segs, k) }
-
-// PathByCategory sums critical-path segments per span category,
-// descending by attributed time.
-func PathByCategory(segs []PathSeg) []PathCategory { return trace.ByCategory(segs) }
 
 // PathSeconds returns the critical-path time attributed to one category
 // (e.g. "net" for communication, "task" for compute attempts).

@@ -132,8 +132,9 @@ func New(fs *dfs.FS, cfg Config) *Engine {
 	return &Engine{C: fs.Cluster(), FS: fs, Cfg: cfg, tp: transport.New(fs.Cluster(), prof)}
 }
 
-// Transport exposes the engine's staged communication model (disabled
-// by default; the scenario WithTransport knob switches it on).
+// Transport exposes the engine's communication model: every shuffle
+// byte goes through it, on the profile's fluid form until the scenario
+// WithTransport knob switches staging on.
 func (e *Engine) Transport() *transport.Transport { return e.tp }
 
 // Name implements job.Engine.
@@ -201,13 +202,7 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, res *job.Result, d
 	e.acquireDaemons()
 	e.profiling.Start(e.Prof, eng)
 
-	// Tracing: queue submissions carry the scenario's tracer on the
-	// tracker; solo runs fall back to the engine field.
-	tr := ctl.Tracker().Tracer()
-	if tr == nil && e.Tracer != nil {
-		tr = e.Tracer
-		ctl.Tracker().SetTracer(tr)
-	}
+	tr := ctl.Tracer(e.Tracer)
 	e.tp.SetTracer(tr)
 	var jsp *trace.Span
 	if tr != nil {
@@ -367,14 +362,8 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, res *job.Result, d
 		if jsp != nil {
 			jsp.EndAt(res.End)
 			if oPhaseEnd > 0 {
-				osp := tr.BeginChild(jsp, "O", "phase", 0, trace.TidDriver, res.Start)
-				osp.EndAt(oPhaseEnd)
-				asp := tr.BeginChild(jsp, "A", "phase", 0, trace.TidDriver, oPhaseEnd)
-				asp.EndAt(res.End)
-				// Phases derive from the spans; same floats as the legacy
-				// subtractions, so reports stay bit-identical.
-				res.Phases["O"] = osp.End - osp.Start
-				res.Phases["A"] = asp.End - asp.Start
+				tr.BeginChild(jsp, "O", "phase", 0, trace.TidDriver, res.Start).EndAt(oPhaseEnd)
+				tr.BeginChild(jsp, "A", "phase", 0, trace.TidDriver, oPhaseEnd).EndAt(res.End)
 			}
 		}
 		res.Err = jobErr

@@ -47,16 +47,16 @@ func (p RecordSweepPoint) ThroughputMBps() float64 {
 }
 
 // RecordSweepRun drives the transfer train through a fresh two-node
-// cluster with the given profile (enabled=false measures the bare
-// fluid wire, the per-sweep baseline). Messages are sequential — each
+// cluster on the given profile, staged or in its fluid form (staged=false
+// measures the bare wire, the per-sweep baseline). Messages are sequential — each
 // send starts when the previous one fully arrives — so stage costs
 // serialize into elapsed time instead of hiding behind pipelining.
-func RecordSweepRun(prof transport.Profile, enabled bool, recordBytes float64) (RecordSweepPoint, error) {
+func RecordSweepRun(prof transport.Profile, staged bool, recordBytes float64) (RecordSweepPoint, error) {
 	hw := cluster.DefaultHardware()
 	hw.Nodes = 2
 	c := cluster.New(hw)
 	t := transport.New(c, prof)
-	t.SetEnabled(enabled)
+	t.SetStaged(staged)
 
 	records := float64(recordSweepMsgBytes) / recordBytes
 	sent := 0

@@ -12,11 +12,11 @@ import (
 	"github.com/datampi/datampi-go/internal/transport"
 )
 
-// The transport battery pins the staged communication model against the
-// legacy fluid path: with the transport off every prior timing stays
-// bit-identical, with stage costs zeroed the staged path reproduces the
-// legacy timings exactly, and with real profiles it can only add time —
-// never change what the job computes.
+// The transport battery pins the staged profiles against their fluid
+// forms on the one transport path: with staging off every prior timing
+// stays bit-identical, with stage costs zeroed the staged path
+// reproduces the fluid timings exactly, and with real profiles it can
+// only add time — never change what the job computes.
 
 // transportRun executes one Text Sort on a fresh rig with the given
 // profile override and scenario options, returning the job result, the
@@ -48,9 +48,9 @@ func transportRun(t *testing.T, fw Framework, prof transport.Profile, nominal fl
 	return res, rep, out
 }
 
-// zeroStageProfile is a profile with every staged cost zero but the
-// engine's default emit constant, so enabling the transport with it
-// must not move any timing.
+// zeroStageProfile is the engine default profile's fluid form: every
+// staged cost zero but the emit constant, so staging it must not move
+// any timing.
 func zeroStageProfile(fw Framework) transport.Profile {
 	var def transport.Profile
 	switch fw {
@@ -61,13 +61,14 @@ func zeroStageProfile(fw Framework) transport.Profile {
 	case DataMPI:
 		def = transport.DataMPIProfile()
 	}
-	return transport.Profile{Name: "zerostage", EmitCPUPerByte: def.EmitCPUPerByte}
+	return def.Fluid()
 }
 
 // TestTransportDifferential pins the compatibility contract per
 // framework: WithTransport(Enabled:false) is bit-identical to not
-// mentioning the transport at all, and Enabled:true keeps the output
-// byte-identical while only adding time.
+// mentioning the transport at all, Enabled:true keeps the output
+// byte-identical while only adding time, and both runs take the same
+// transport path, so they count the same transfers and wire bytes.
 func TestTransportDifferential(t *testing.T) {
 	for _, fw := range []Framework{Hadoop, Spark, DataMPI} {
 		fw := fw
@@ -82,10 +83,6 @@ func TestTransportDifferential(t *testing.T) {
 			if !sameOutput(offOut, legacyOut) {
 				t.Error("transport-off output diverged from legacy")
 			}
-			if offRep.Transport.Transfers != 0 || offRep.Transport.BytesWire != 0 {
-				t.Errorf("transport-off must not count transfers: %+v", offRep.Transport)
-			}
-
 			on, onRep, onOut := transportRun(t, fw, transport.Profile{}, 2*cluster.GB,
 				datampi.WithTransport(datampi.TransportConfig{Enabled: true}))
 			if !sameOutput(onOut, legacyOut) {
@@ -98,6 +95,12 @@ func TestTransportDifferential(t *testing.T) {
 			if onRep.Transport.Transfers == 0 || onRep.Transport.BytesWire <= 0 {
 				t.Errorf("staged run counted no transfers: %+v", onRep.Transport)
 			}
+			if offRep.Transport.Transfers != onRep.Transport.Transfers ||
+				offRep.Transport.BytesWire != onRep.Transport.BytesWire {
+				t.Errorf("transport-off must count the same transfers as the staged run: off %+v, on %+v",
+					offRep.Transport, onRep.Transport)
+			}
+			t.Logf("transfers=%d wire=%.0f B", onRep.Transport.Transfers, onRep.Transport.BytesWire)
 		})
 	}
 }

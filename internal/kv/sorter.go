@@ -132,9 +132,6 @@ func (s *Sorter) Add(p Pair) {
 // Spills reports how many runs were spilled to disk.
 func (s *Sorter) Spills() int { return s.spills }
 
-// BufferedBytes returns the bytes currently held in memory.
-func (s *Sorter) BufferedBytes() int { return s.bufBytes }
-
 func (s *Sorter) spill() {
 	if len(s.buf) == 0 {
 		return

@@ -46,8 +46,8 @@ type World struct {
 	// protocol), charged once per Send.
 	LatencySecs float64
 
-	// tp, when set and enabled, routes sends through the staged
-	// transport model instead of the bare fabric flow.
+	// tp carries every send to the fabric: a zero-profile transport
+	// (the bare fabric flow) until SetTransport installs an engine's.
 	tp *transport.Transport
 }
 
@@ -65,6 +65,7 @@ func NewWorld(c *cluster.Cluster, nodeOf []int) *World {
 		boxes:       make(map[int][]*Message),
 		conds:       make(map[int]*sim.Cond),
 		LatencySecs: 50e-6,
+		tp:          transport.New(c, transport.Profile{}),
 	}
 }
 
@@ -120,9 +121,9 @@ func (w *World) Isend(from, to, tag int, nominalBytes float64, payload any, onDo
 	w.IsendFrom(w.nodeOf[from], from, to, tag, nominalBytes, payload, onDone)
 }
 
-// SetTransport attaches a staged transport model: when it is enabled,
-// sends run serialize/copy (or zero-copy) stages before the wire and
-// deserialize after it. Nil or disabled keeps the bare fabric path.
+// SetTransport replaces the world's transport: sends run its active
+// profile's serialize/copy (or zero-copy) stages before the wire and
+// deserialize after it.
 func (w *World) SetTransport(tp *transport.Transport) { w.tp = tp }
 
 // IsendFrom is Isend with the source node overridden: a speculative
@@ -154,12 +155,7 @@ func (w *World) IsendFromRecords(srcNode, from, to, tag int, nominalBytes, nomin
 			deliver()
 		}
 	}
-	dstNode := w.nodeOf[to]
-	if w.tp.Enabled() {
-		w.tp.Send(srcNode, dstNode, nominalBytes, nominalRecords, arrive)
-		return
-	}
-	w.c.Net.StartFlow(srcNode, dstNode, nominalBytes, arrive)
+	w.tp.Send(srcNode, w.nodeOf[to], nominalBytes, nominalRecords, arrive)
 }
 
 // Send is the blocking form of Isend: it parks the proc until the

@@ -122,8 +122,9 @@ func New(fs *dfs.FS, cfg Config) *Engine {
 	return &Engine{C: fs.Cluster(), FS: fs, Cfg: cfg, tp: transport.New(fs.Cluster(), prof)}
 }
 
-// Transport exposes the engine's staged communication model (disabled
-// by default; the scenario WithTransport knob switches it on).
+// Transport exposes the engine's communication model: every shuffle
+// byte goes through it, on the profile's fluid form until the scenario
+// WithTransport knob switches staging on.
 func (e *Engine) Transport() *transport.Transport { return e.tp }
 
 // Name implements job.Engine.
@@ -203,14 +204,7 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, res *job.Result, d
 	e.acquireDaemons()
 	e.profiling.Start(e.Prof, eng)
 
-	// Tracing: queue submissions carry the scenario's tracer on the
-	// tracker; solo runs fall back to the engine field. Pure observation
-	// either way — no simulation events, no timing changes.
-	tr := ctl.Tracker().Tracer()
-	if tr == nil && e.Tracer != nil {
-		tr = e.Tracer
-		ctl.Tracker().SetTracer(tr)
-	}
+	tr := ctl.Tracer(e.Tracer)
 	e.tp.SetTracer(tr)
 	var jsp *trace.Span
 	if tr != nil {
@@ -259,15 +253,8 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, res *job.Result, d
 		if jsp != nil {
 			jsp.EndAt(res.End)
 			if mapPhaseEnd > 0 {
-				msp := tr.BeginChild(jsp, "map", "phase", 0, trace.TidDriver, res.Start)
-				msp.EndAt(mapPhaseEnd)
-				rsp := tr.BeginChild(jsp, "reduce", "phase", 0, trace.TidDriver, mapPhaseEnd)
-				rsp.EndAt(res.End)
-				// Phases derive from the spans; the subtractions are the
-				// same floats as the legacy path, so reports stay
-				// bit-identical with tracing on.
-				res.Phases["map"] = msp.End - msp.Start
-				res.Phases["reduce"] = rsp.End - rsp.Start
+				tr.BeginChild(jsp, "map", "phase", 0, trace.TidDriver, res.Start).EndAt(mapPhaseEnd)
+				tr.BeginChild(jsp, "reduce", "phase", 0, trace.TidDriver, mapPhaseEnd).EndAt(res.End)
 			}
 		}
 		res.Err = jobErr
@@ -585,7 +572,7 @@ func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk
 				cw.Add(1)
 				e.C.Node(node).Disk.Start((diskBytes+mergeRead)/k, cw.Done)
 			}
-			if e.tp.Enabled() && outNominalTotal > 0 {
+			if outNominalTotal > 0 {
 				cw.Add(1)
 				e.tp.SendStages(node, outNominalTotal/k, outRecords/k, cw.Done)
 			}
@@ -620,9 +607,9 @@ func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk
 				e.Prof.AddDiskRead(node, mergeRead)
 			}
 		}
-		if e.tp.Enabled() && !mapOnly && outNominalTotal > 0 {
-			// Staged sender-side path: serialize + copy the map output
-			// into the shuffle servlet's transfer buffers.
+		if !mapOnly && outNominalTotal > 0 {
+			// Sender-side stages: serialize + copy the map output into
+			// the shuffle servlet's transfer buffers.
 			wg.Add(1)
 			e.tp.SendStages(node, outNominalTotal, outRecords, wg.Done)
 		}
@@ -831,15 +818,10 @@ func (e *Engine) runReduceTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, 
 		var wg sim.WaitGroup
 		wg.Add(1)
 		e.C.Node(mo.node).Disk.Start(nom, wg.Done)
-		if e.tp.Enabled() {
-			// Staged path: wire (remote only) + deserialize with
-			// per-record Writable costs on the reduce side.
-			wg.Add(1)
-			e.tp.FetchStages(mo.node, node, nom, mo.records[ri], wg.Done)
-		} else if mo.node != node {
-			wg.Add(1)
-			e.C.Net.StartFlow(mo.node, node, nom, wg.Done)
-		}
+		// Wire (remote only) + deserialize with per-record Writable
+		// costs on the reduce side.
+		wg.Add(1)
+		e.tp.FetchStages(mo.node, node, nom, mo.records[ri], wg.Done)
 		if e.Prof != nil {
 			e.Prof.AddDiskRead(mo.node, nom)
 		}

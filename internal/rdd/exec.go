@@ -144,13 +144,7 @@ func (e *Engine) submitAction(name string, target *RDD, outPath string, collect 
 	e.acquireApp()
 	e.profiling.Start(e.Prof, eng)
 
-	// Tracing: queue submissions carry the scenario's tracer on the
-	// tracker; solo actions fall back to the engine field.
-	tr := ctl.Tracker().Tracer()
-	if tr == nil && e.Tracer != nil {
-		tr = e.Tracer
-		ctl.Tracker().SetTracer(tr)
-	}
+	tr := ctl.Tracer(e.Tracer)
 	e.tp.SetTracer(tr)
 	var jsp *trace.Span
 	if tr != nil {
@@ -545,15 +539,10 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 			if e.Prof != nil {
 				e.Prof.AddDiskRead(pd.node, pd.nominal)
 			}
-			if e.tp.Enabled() {
-				// Staged path: wire (remote only) + deserialize on the
-				// fetching worker, with per-record costs.
-				fw.Add(1)
-				e.tp.FetchStages(pd.node, node, pd.nominal, pd.records, fw.Done)
-			} else if pd.node != node {
-				fw.Add(1)
-				e.C.Net.StartFlow(pd.node, node, pd.nominal, fw.Done)
-			}
+			// Wire (remote only) + deserialize on the fetching worker,
+			// with per-record costs.
+			fw.Add(1)
+			e.tp.FetchStages(pd.node, node, pd.nominal, pd.records, fw.Done)
 			p.BlockReason = "shuffle-io"
 			fw.Wait(p)
 			p.BlockReason = ""
@@ -734,12 +723,10 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 			wg.Add(1)
 			e.C.Node(node).CPU.Start(emit*writeNominal, wg.Done)
 		}
-		if e.tp.Enabled() {
-			// Staged sender-side path on top: serialize + copy (or
-			// zero-copy) into the shuffle file's transfer buffers.
-			wg.Add(1)
-			e.tp.SendStages(node, writeNominal, writeRecords, wg.Done)
-		}
+		// Sender-side stages on top: serialize + copy (or zero-copy)
+		// into the shuffle file's transfer buffers.
+		wg.Add(1)
+		e.tp.SendStages(node, writeNominal, writeRecords, wg.Done)
 	}
 	p.BlockReason = "disk"
 	wg.Wait(p)

@@ -108,8 +108,9 @@ type Engine struct {
 	tp *transport.Transport
 }
 
-// Transport exposes the engine's staged communication model (disabled
-// by default; the scenario WithTransport knob switches it on).
+// Transport exposes the engine's communication model: every shuffle
+// byte goes through it, on the profile's fluid form until the scenario
+// WithTransport knob switches staging on.
 func (e *Engine) Transport() *transport.Transport { return e.tp }
 
 // New creates an engine (a SparkContext, in effect) over a filesystem.

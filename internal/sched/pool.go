@@ -482,10 +482,6 @@ func (sp *SlotPool) Shrink(perNode int) {
 // Shrink (running tasks whose slots will not be re-granted).
 func (sp *SlotPool) Debt(node int) int { return sp.debt[node] }
 
-// Demand returns how many jobs currently hold or want slots — the pool's
-// active set, the bound on all of its per-operation work.
-func (sp *SlotPool) Demand() int { return sp.nDemand }
-
 // FairShare returns h's weighted fair share of the pool's total slots,
 // dividing among the jobs that currently hold or want slots. The
 // denominator is maintained incrementally; with the integral weights the

@@ -67,6 +67,18 @@ func (c *JobControl) Placer() Placer {
 // Tracker returns the shared task tracker.
 func (c *JobControl) Tracker() *TaskTracker { return c.tracker }
 
+// Tracer returns the span recorder the job runs under: the tracker's
+// (queue submissions carry the scenario's tracer there), else fallback
+// (a solo run's engine field), which is then installed on the tracker
+// so the job's attempts record under it too. Tracing is pure
+// observation either way; nil means off.
+func (c *JobControl) Tracer(fallback *trace.Tracer) *trace.Tracer {
+	if c.tracker.tr == nil {
+		c.tracker.tr = fallback
+	}
+	return c.tracker.tr
+}
+
 // Solo returns the control for a job that owns the whole testbed: a fresh
 // pool set, a tracker with speculation and preemption off, and a handle
 // with no other jobs to contend with. The engines' plain Run paths use

@@ -166,11 +166,6 @@ func (e *Engine) rearm(t *Timer, delay float64) *Timer {
 	return t
 }
 
-// ScheduleAt arranges for fn to run at absolute time at (clamped to now).
-func (e *Engine) ScheduleAt(at float64, fn func()) *Timer {
-	return e.Schedule(at-e.now, fn)
-}
-
 // Run executes events until the queue is empty. It returns an error if
 // processes remain parked with no pending events (a simulation deadlock),
 // naming the stuck processes to aid debugging.
@@ -306,19 +301,6 @@ func (p *Proc) Name() string { return p.name }
 
 // Engine returns the engine this proc belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
-
-// CountBlocked returns the number of live procs for which fn reports true.
-// Prefer BlockedOn for the common reason+node query: it reads a counter
-// maintained at park/resume instead of scanning every live proc.
-func (e *Engine) CountBlocked(fn func(*Proc) bool) int {
-	n := 0
-	for p := range e.procs {
-		if fn(p) {
-			n++
-		}
-	}
-	return n
-}
 
 // BlockedOn returns the number of procs currently parked on node with any
 // of the given block reasons. It is O(len(reasons)): the counters are

@@ -1,18 +1,20 @@
 // Package transport models data movement between tasks as explicit
 // stages instead of an opaque fluid flow. Every transfer decomposes
 // into serialize (CPU on the sender), copy/buffer (memory bandwidth on
-// the sender plus pinned-buffer occupancy), wire (the existing
-// sim.Fabric flow), and deserialize (CPU on the receiver). A zero-copy
-// path skips the copy stage for contiguous records at or above a
-// profile threshold, which is the mechanistic core of the paper's
-// communication argument: Hadoop pays serialize+copy per record while
-// DataMPI's buffered native sends move arena blocks without the
-// intermediate copy.
+// the sender plus pinned-buffer occupancy), wire (the sim.Fabric flow),
+// and deserialize (CPU on the receiver). A zero-copy path skips the copy
+// stage for contiguous records at or above a profile threshold, which is
+// the mechanistic core of the paper's communication argument: Hadoop
+// pays serialize+copy per record while DataMPI's buffered native sends
+// move arena blocks without the intermediate copy.
 //
-// The package is additive: with a zero Profile (all stage costs zero)
-// the staged path degenerates to exactly the legacy fluid flow, and
-// engines keep their inline emit-CPU charges in both modes, so staged
-// time >= fluid time per transfer by construction.
+// It is the only path shuffle and message bytes take to the fabric. The
+// fluid model is not a second code path but a profile: Profile.Fluid
+// keeps the engine's emit constant and zeroes every stage cost, so a
+// fluid transfer takes exactly the bare fabric flow's time. A Transport
+// runs its profile's fluid form until SetStaged switches the staged
+// costs on; counters count every transfer in both forms, and staged time
+// >= fluid time per transfer by construction.
 package transport
 
 import (
@@ -31,13 +33,12 @@ type Profile struct {
 	Name string
 
 	// EmitCPUPerByte is the engine-side shuffle-write serialization
-	// cost per nominal byte. Engines charge it inline in both legacy and
-	// staged modes, so legacy timings are bit-identical.
+	// cost per nominal byte. Engines charge it inline; the fluid form
+	// keeps it, so staging changes only the wire-path stages.
 	EmitCPUPerByte float64
 
-	// Staged wire-path costs, charged only when the transport is
-	// enabled. Per-record terms model object/header handling that
-	// dominates at small record sizes.
+	// Staged wire-path costs. Per-record terms model object/header
+	// handling that dominates at small record sizes.
 	SerializeCPUPerByte     float64
 	SerializeCPUPerRecord   float64
 	DeserializeCPUPerByte   float64
@@ -119,6 +120,14 @@ func DataMPIProfile() Profile {
 	}
 }
 
+// Fluid returns p's fluid form: the same name and emit constant with
+// every stage cost zero — no serialize or deserialize CPU, no copy
+// stage, no pinned buffer, no zero-copy, not pipelined. A transfer on
+// the fluid form takes exactly the bare fabric flow's time.
+func (p Profile) Fluid() Profile {
+	return Profile{Name: p.Name, EmitCPUPerByte: p.EmitCPUPerByte}
+}
+
 // PipelineMode overrides a profile's pipelining flag at scenario level.
 type PipelineMode int
 
@@ -131,8 +140,8 @@ const (
 	PipelineOff
 )
 
-// Stats counts staged-transport activity. All byte counters are
-// nominal bytes.
+// Stats counts transport activity, staged or fluid. All byte counters
+// are nominal bytes.
 type Stats struct {
 	Transfers       int64
 	BytesSerialized float64
@@ -173,13 +182,13 @@ func (s Stats) String() string {
 		s.Transfers, s.BytesSerialized, s.BytesCopied, s.BytesZeroCopied, s.BytesWire, s.BytesPipelined, s.OverlapFraction())
 }
 
-// Transport schedules staged transfers on one cluster's resources.
+// Transport schedules transfers on one cluster's resources.
 type Transport struct {
-	c       *cluster.Cluster
-	prof    Profile
-	enabled bool
-	pmode   PipelineMode
-	stats   Stats
+	c      *cluster.Cluster
+	staged Profile // the engine's staged profile
+	prof   Profile // active profile: staged or its fluid form
+	pmode  PipelineMode
+	stats  Stats
 	// membus is the lazy per-node copy-stage resource (CopyBandwidth
 	// capacity, processor-sharing like every other stage resource).
 	membus []*sim.PSResource
@@ -189,14 +198,25 @@ type Transport struct {
 	tr *trace.Tracer
 }
 
-// New builds a transport over a cluster with the given profile. It
-// starts disabled: engines route through it only after SetEnabled.
+// New builds a transport over a cluster for the given staged profile.
+// It starts on the profile's fluid form; SetStaged switches the stage
+// costs on.
 func New(c *cluster.Cluster, prof Profile) *Transport {
-	return &Transport{c: c, prof: prof}
+	return &Transport{c: c, staged: prof, prof: prof.Fluid()}
 }
 
-// SetEnabled switches staged accounting on or off.
-func (t *Transport) SetEnabled(on bool) { t.enabled = on }
+// SetStaged picks the active profile: the staged profile (on) or its
+// fluid form (off).
+func (t *Transport) SetStaged(on bool) {
+	t.prof = t.staged.Fluid()
+	if on {
+		t.prof = t.staged
+	}
+}
+
+// Staged reports whether the active profile charges anything beyond
+// the wire. A profile with no stage costs is its own fluid form.
+func (t *Transport) Staged() bool { return t.prof != t.prof.Fluid() }
 
 // SetTracer attaches a span recorder (nil detaches).
 func (t *Transport) SetTracer(tr *trace.Tracer) { t.tr = tr }
@@ -211,12 +231,6 @@ func (t *Transport) stageSpan(name string, node int, bytes float64) *trace.Span 
 		Annotate("bytes", strconv.FormatFloat(bytes, 'f', 0, 64))
 }
 
-// Enabled reports whether staged accounting is active.
-func (t *Transport) Enabled() bool { return t != nil && t.enabled }
-
-// SetProfile replaces the profile (scenario knob).
-func (t *Transport) SetProfile(p Profile) { t.prof = p }
-
 // Profile returns the active profile.
 func (t *Transport) Profile() Profile { return t.prof }
 
@@ -226,14 +240,12 @@ func (t *Transport) SetPipelineMode(m PipelineMode) { t.pmode = m }
 // PipelineModeValue returns the current override.
 func (t *Transport) PipelineModeValue() PipelineMode { return t.pmode }
 
-// Pipelined reports whether pipelined shuffle is in effect.
+// Pipelined reports whether pipelined shuffle is in effect. Forcing it
+// on needs a staged profile: the fluid form has no stages to pipeline.
 func (t *Transport) Pipelined() bool {
-	if !t.Enabled() {
-		return false
-	}
 	switch t.pmode {
 	case PipelineOn:
-		return true
+		return t.Staged()
 	case PipelineOff:
 		return false
 	}
@@ -295,10 +307,6 @@ func (t *Transport) cpu(n int, sec float64, onDone func()) {
 // zero-copy) for a transfer produced on node, firing onDone when the
 // data is wire-ready. Counters are updated here.
 func (t *Transport) SendStages(node int, bytes, records float64, onDone func()) {
-	if !t.Enabled() {
-		t.c.Eng.Post(0, onDone)
-		return
-	}
 	p := t.prof
 	t.stats.Transfers++
 	t.stats.BytesSerialized += bytes
@@ -368,14 +376,10 @@ func (t *Transport) wire(src, dst int, bytes, records float64, onDone func()) {
 	})
 }
 
-// Send runs a full staged transfer src->dst (wire stage always runs,
-// loopback included — the mpi/core message path). With the transport
-// disabled it degenerates to the bare fabric flow.
+// Send runs a full transfer src->dst (wire stage always runs, loopback
+// included — the mpi/core message path). On a fluid profile it takes
+// exactly the bare fabric flow's time.
 func (t *Transport) Send(src, dst int, bytes, records float64, onDone func()) {
-	if !t.Enabled() {
-		t.c.Net.StartFlow(src, dst, bytes, onDone)
-		return
-	}
 	t.SendStages(src, bytes, records, func() {
 		t.wire(src, dst, bytes, records, onDone)
 	})
@@ -383,18 +387,10 @@ func (t *Transport) Send(src, dst int, bytes, records float64, onDone func()) {
 
 // FetchStages runs the receive-path stages for a disk-materialized
 // shuffle fetch (mr/rdd): wire only when the source is remote — the
-// legacy engines skip the network for node-local fetches — plus
+// engines skip the network for node-local fetches — plus
 // deserialize on the destination. Sender-side stages for these
 // engines are charged at shuffle-write time via SendStages.
 func (t *Transport) FetchStages(src, dst int, bytes, records float64, onDone func()) {
-	if !t.Enabled() {
-		if src != dst {
-			t.c.Net.StartFlow(src, dst, bytes, onDone)
-		} else {
-			t.c.Eng.Post(0, onDone)
-		}
-		return
-	}
 	if src != dst {
 		t.wire(src, dst, bytes, records, onDone)
 		return

@@ -17,13 +17,13 @@ func twoNodes(t *testing.T) *cluster.Cluster {
 	return cluster.New(hw)
 }
 
-// runSends drives n sequential Send transfers 0->1 and returns elapsed
-// simulated seconds plus the transport's counters.
-func runSends(t *testing.T, prof transport.Profile, enabled bool, n int, bytes, records float64) (float64, transport.Stats) {
+// runSends drives n sequential Send transfers 0->1 on prof (staged)
+// and returns elapsed simulated seconds plus the transport's counters.
+func runSends(t *testing.T, prof transport.Profile, n int, bytes, records float64) (float64, transport.Stats) {
 	t.Helper()
 	c := twoNodes(t)
 	tp := transport.New(c, prof)
-	tp.SetEnabled(enabled)
+	tp.SetStaged(true)
 	sent := 0
 	var next func()
 	next = func() {
@@ -43,28 +43,77 @@ func runSends(t *testing.T, prof transport.Profile, enabled bool, n int, bytes, 
 	return c.Eng.Now(), tp.Stats()
 }
 
-// TestZeroProfileMatchesFluid pins the degenerate case: with every
-// stage cost zero, the staged path must take exactly as long as the
-// bare fluid flow — the extra zero-delay events cost no simulated time.
-func TestZeroProfileMatchesFluid(t *testing.T) {
-	fluid, _ := runSends(t, transport.Profile{}, false, 8, 4*cluster.MB, 1024)
-	staged, st := runSends(t, transport.Profile{}, true, 8, 4*cluster.MB, 1024)
-	if staged != fluid {
-		t.Fatalf("zero-profile staged time %.12g != fluid time %.12g", staged, fluid)
+// runFlows drives n sequential bare fabric flows 0->1, the transfer
+// train runSends sends through the transport, and returns the elapsed
+// simulated seconds.
+func runFlows(t *testing.T, n int, bytes float64) float64 {
+	t.Helper()
+	c := twoNodes(t)
+	sent := 0
+	var next func()
+	next = func() {
+		if sent >= n {
+			return
+		}
+		sent++
+		c.Net.StartFlow(0, 1, bytes, next)
 	}
-	if st.Transfers != 8 || st.BytesWire != 8*4*cluster.MB {
-		t.Fatalf("staged counters off: %+v", st)
+	c.Eng.Post(0, next)
+	if err := c.Eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return c.Eng.Now()
+}
+
+// TestZeroProfileMatchesFluid pins the one-path contract: Send on the
+// zero profile, or on any engine profile's fluid form, takes exactly as
+// long as a bare Net.StartFlow train — the zero-delay stage events cost
+// no simulated time — and still counts every transfer.
+func TestZeroProfileMatchesFluid(t *testing.T) {
+	bare := runFlows(t, 8, 4*cluster.MB)
+	for _, prof := range []transport.Profile{
+		{}, transport.HadoopProfile().Fluid(), transport.SparkProfile().Fluid(), transport.DataMPIProfile().Fluid(),
+	} {
+		sent, st := runSends(t, prof, 8, 4*cluster.MB, 1024)
+		if sent != bare {
+			t.Errorf("%q: Send time %.12g != bare flow time %.12g", prof.Name, sent, bare)
+		}
+		if st.Transfers != 8 || st.BytesWire != 8*4*cluster.MB {
+			t.Errorf("%q: counters off: %+v", prof.Name, st)
+		}
+	}
+}
+
+// TestNewTransportStartsFluid checks the staging switch: a transport
+// starts on its profile's fluid form, PipelineOn cannot pipeline that
+// form, and SetStaged picks the staged profile.
+func TestNewTransportStartsFluid(t *testing.T) {
+	for _, prof := range []transport.Profile{
+		transport.HadoopProfile(), transport.SparkProfile(), transport.DataMPIProfile(),
+	} {
+		tp := transport.New(twoNodes(t), prof)
+		if tp.Staged() || tp.Pipelined() || tp.Profile() != prof.Fluid() {
+			t.Errorf("%s: a new transport must start on the fluid form", prof.Name)
+		}
+		tp.SetPipelineMode(transport.PipelineOn)
+		if tp.Pipelined() {
+			t.Errorf("%s: PipelineOn must not pipeline the fluid form", prof.Name)
+		}
+		tp.SetStaged(true)
+		if !tp.Staged() || !tp.Pipelined() || tp.Profile() != prof {
+			t.Errorf("%s: SetStaged(true) must run the staged profile", prof.Name)
+		}
 	}
 }
 
 // TestStagedAtLeastFluid checks the monotonicity the model promises:
 // nonzero stage costs can only add time on top of the wire.
 func TestStagedAtLeastFluid(t *testing.T) {
-	fluid, _ := runSends(t, transport.HadoopProfile(), false, 8, 4*cluster.MB, 4096)
+	fluid, _ := runSends(t, transport.HadoopProfile().Fluid(), 8, 4*cluster.MB, 4096)
 	for _, prof := range []transport.Profile{
 		transport.HadoopProfile(), transport.SparkProfile(), transport.DataMPIProfile(),
 	} {
-		staged, _ := runSends(t, prof, true, 8, 4*cluster.MB, 4096)
+		staged, _ := runSends(t, prof, 8, 4*cluster.MB, 4096)
 		if staged <= fluid {
 			t.Errorf("%s: staged time %.6g should exceed fluid time %.6g", prof.Name, staged, fluid)
 		}
@@ -79,22 +128,22 @@ func TestZeroCopyRouting(t *testing.T) {
 	prof := transport.DataMPIProfile() // threshold 512
 	const bytes = 4 * cluster.MB
 
-	_, st := runSends(t, prof, true, 4, bytes, bytes/1024) // 1 KB records
+	_, st := runSends(t, prof, 4, bytes, bytes/1024) // 1 KB records
 	if st.BytesZeroCopied != 4*bytes || st.BytesCopied != 0 {
 		t.Fatalf("large records should go zero-copy: %+v", st)
 	}
-	_, st = runSends(t, prof, true, 4, bytes, bytes/64) // 64 B records
+	_, st = runSends(t, prof, 4, bytes, bytes/64) // 64 B records
 	if st.BytesCopied != 4*bytes || st.BytesZeroCopied != 0 {
 		t.Fatalf("small records should copy: %+v", st)
 	}
-	_, st = runSends(t, transport.HadoopProfile(), true, 4, bytes, bytes/65536)
+	_, st = runSends(t, transport.HadoopProfile(), 4, bytes, bytes/65536)
 	if st.BytesZeroCopied != 0 || st.BytesCopied != 4*bytes {
 		t.Fatalf("hadoop is never zero-copy eligible: %+v", st)
 	}
 
 	// Zero-copy must also be faster: the copy stage drops out.
-	zc, _ := runSends(t, prof, true, 8, bytes, bytes/1024)
-	cp, _ := runSends(t, prof, true, 8, bytes, bytes/256)
+	zc, _ := runSends(t, prof, 8, bytes, bytes/1024)
+	cp, _ := runSends(t, prof, 8, bytes, bytes/256)
 	if zc >= cp {
 		t.Fatalf("zero-copy run (%.6g s) should beat the copied run (%.6g s)", zc, cp)
 	}
@@ -108,12 +157,12 @@ func TestZeroCopyThresholdMovesCrossover(t *testing.T) {
 	const bytes = 4 * cluster.MB
 	const rec = 1024.0
 
-	_, st := runSends(t, prof, true, 4, bytes, bytes/rec)
+	_, st := runSends(t, prof, 4, bytes, bytes/rec)
 	if st.BytesZeroCopied == 0 {
 		t.Fatal("1 KB records should clear the default 512 B threshold")
 	}
 	prof.ZeroCopyThresholdBytes = 4096
-	_, st = runSends(t, prof, true, 4, bytes, bytes/rec)
+	_, st = runSends(t, prof, 4, bytes, bytes/rec)
 	if st.BytesZeroCopied != 0 || st.BytesCopied != 4*bytes {
 		t.Fatalf("raised threshold should force the copy path: %+v", st)
 	}
@@ -125,7 +174,7 @@ func TestZeroCopyThresholdMovesCrossover(t *testing.T) {
 func TestStreamFetchPipelined(t *testing.T) {
 	c := twoNodes(t)
 	tp := transport.New(c, transport.DataMPIProfile())
-	tp.SetEnabled(true)
+	tp.SetStaged(true)
 	opened := 0
 	board := tp.NewBoard(func() { opened++ })
 
@@ -185,7 +234,7 @@ func TestStreamFetchPipelined(t *testing.T) {
 func TestStreamFailFallsBack(t *testing.T) {
 	c := twoNodes(t)
 	tp := transport.New(c, transport.DataMPIProfile())
-	tp.SetEnabled(true)
+	tp.SetStaged(true)
 	board := tp.NewBoard(nil)
 
 	const part = 8 * cluster.MB
@@ -220,7 +269,7 @@ func TestStreamFailFallsBack(t *testing.T) {
 func TestStreamEmptyPartition(t *testing.T) {
 	c := twoNodes(t)
 	tp := transport.New(c, transport.DataMPIProfile())
-	tp.SetEnabled(true)
+	tp.SetStaged(true)
 	board := tp.NewBoard(nil)
 	st := board.Open(0, 0, []float64{0, 4 * cluster.MB}, 256)
 	c.Eng.Post(1, st.Finish)

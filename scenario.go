@@ -694,9 +694,10 @@ func WithStreamingReport() ScenarioOption {
 // zero-copy-eligible), set at engine construction via the engine
 // Config's Transport field.
 type TransportConfig struct {
-	// Enabled switches the staged serialize/copy/wire/deserialize
-	// accounting on. Off (the default everywhere else) keeps the legacy
-	// fluid-flow model bit-identical.
+	// Enabled switches each engine from its profile's fluid form (the
+	// default everywhere else: stage costs zero, bare fabric timings) to
+	// the staged serialize/copy/wire/deserialize costs. Both run the
+	// same transport path.
 	Enabled bool
 	// Pipeline overrides the profiles' pipelined-shuffle flag:
 	// PipelineProfile (default) follows each profile, PipelineOn forces
@@ -708,8 +709,8 @@ type TransportConfig struct {
 // WithTransport applies a staged-transport configuration to every
 // tenant engine that supports it, for the duration of the run; prior
 // transport state is restored afterwards. Report.Transport carries the
-// run's staged counters (bytes serialized/copied/zero-copied, pipeline
-// overlap fraction).
+// run's transport counters (bytes serialized/copied/zero-copied, pipeline
+// overlap fraction), which count every transfer, staged or fluid.
 func WithTransport(cfg TransportConfig) ScenarioOption {
 	return func(s *Scenario) { s.tpCfg = &cfg }
 }
@@ -1119,10 +1120,10 @@ func (s *Scenario) Run() (*Report, error) {
 	// Staged-transport knob: switch every distinct tenant transport to
 	// the requested state for the run, remembering what to restore.
 	type tpState struct {
-		tp      *transport.Transport
-		enabled bool
-		mode    transport.PipelineMode
-		stats   transport.Stats
+		tp     *transport.Transport
+		staged bool
+		mode   transport.PipelineMode
+		stats  transport.Stats
 	}
 	var tpPrev []tpState
 	if s.tpCfg != nil {
@@ -1137,8 +1138,8 @@ func (s *Scenario) Run() (*Report, error) {
 				continue
 			}
 			seenTP[tp] = true
-			tpPrev = append(tpPrev, tpState{tp: tp, enabled: tp.Enabled(), mode: tp.PipelineModeValue(), stats: tp.Stats()})
-			tp.SetEnabled(s.tpCfg.Enabled)
+			tpPrev = append(tpPrev, tpState{tp: tp, staged: tp.Staged(), mode: tp.PipelineModeValue(), stats: tp.Stats()})
+			tp.SetStaged(s.tpCfg.Enabled)
 			tp.SetPipelineMode(s.tpCfg.Pipeline)
 		}
 		if len(tpPrev) == 0 {
@@ -1160,7 +1161,7 @@ func (s *Scenario) Run() (*Report, error) {
 		tpDelta.BytesWire += d.BytesWire
 		tpDelta.BytesPipelined += d.BytesPipelined
 		tpDelta.BytesOverlapped += d.BytesOverlapped
-		st.tp.SetEnabled(st.enabled)
+		st.tp.SetStaged(st.staged)
 		st.tp.SetPipelineMode(st.mode)
 	}
 
