@@ -13,9 +13,11 @@ import (
 
 func main() {
 	// An 8-node cluster (the paper's Table 2 testbed) with an empty DFS.
-	tb := datampi.NewTestbed(datampi.TestbedConfig{Seed: 42})
+	// Scale 1024 stores one real byte per 1024 simulated bytes, so the
+	// run takes milliseconds of host time.
+	tb := datampi.NewTestbed(datampi.TestbedConfig{Scale: 1024, Seed: 42})
 
-	// Stage 256 MB of wikipedia-model text in the DFS.
+	// Stage 256 MB (nominal) of wikipedia-model text in the DFS.
 	in := tb.GenerateText("/data/wiki", 256*datampi.MB, 42)
 
 	// Run WordCount on DataMPI: 32 O tasks feed 32 A tasks.

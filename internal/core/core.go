@@ -31,7 +31,6 @@ import (
 	"github.com/datampi/datampi-go/internal/dfs"
 	"github.com/datampi/datampi-go/internal/job"
 	"github.com/datampi/datampi-go/internal/kv"
-	"github.com/datampi/datampi-go/internal/metrics"
 	"github.com/datampi/datampi-go/internal/mpi"
 	"github.com/datampi/datampi-go/internal/sched"
 	"github.com/datampi/datampi-go/internal/sim"
@@ -108,17 +107,8 @@ func DefaultConfig() Config {
 // (exclusive single-job runs) and sched.Engine (job admission onto a
 // shared testbed).
 type Engine struct {
-	C    *cluster.Cluster
-	FS   *dfs.FS
-	Cfg  Config
-	Prof *metrics.Profiler
-	// Tracer records job/phase/recv spans for solo Run paths; queue
-	// submissions inherit the tracker's tracer instead.
-	Tracer *trace.Tracer
-
-	daemons   *sched.Residency // per-node runtime residency across jobs
-	profiling sched.Profiling  // refcounted sampling across jobs
-	tp        *transport.Transport
+	sched.Runtime
+	Cfg Config
 }
 
 var _ sched.Engine = (*Engine)(nil)
@@ -129,21 +119,11 @@ func New(fs *dfs.FS, cfg Config) *Engine {
 	if prof.Name == "" {
 		prof = transport.DataMPIProfile()
 	}
-	return &Engine{C: fs.Cluster(), FS: fs, Cfg: cfg, tp: transport.New(fs.Cluster(), prof)}
+	return &Engine{Runtime: sched.NewRuntime(fs, prof), Cfg: cfg}
 }
-
-// Transport exposes the engine's communication model: every shuffle
-// byte goes through it, on the profile's fluid form until the scenario
-// WithTransport knob switches staging on.
-func (e *Engine) Transport() *transport.Transport { return e.tp }
 
 // Name implements job.Engine.
 func (e *Engine) Name() string { return "DataMPI" }
-
-// Cluster implements sched.Engine.
-func (e *Engine) Cluster() *cluster.Cluster { return e.C }
-
-func (e *Engine) scale() float64 { return e.FS.Config().Scale }
 
 // Run executes a Common-mode job exclusively: the equivalent of one
 // MapReduce round, with spec.Map as the O function and spec.Reduce as the
@@ -151,24 +131,16 @@ func (e *Engine) scale() float64 { return e.FS.Config().Scale }
 // cluster must not have other foreground work; co-schedule jobs through a
 // sched.Queue instead.
 func (e *Engine) Run(spec job.Spec) job.Result {
-	eng := e.C.Eng
 	res := new(job.Result)
-	completed := false
-	e.submit(spec, sched.Solo(eng, e.C.N()), res, func(job.Result) { completed = true })
-	if err := eng.Run(); err != nil {
-		if res.Err == nil {
-			res.Err = err
-		}
-		if !completed {
-			// The driver never reached its cleanup (simulation deadlock):
-			// release what submit charged so the engine stays reusable.
-			e.profiling.Stop(e.Prof)
-			e.releaseDaemons()
-		}
+	err := e.RunSolo(func(ctl *sched.JobControl, done func()) {
+		e.submit(spec, ctl, res, func(job.Result) { done() })
+	})
+	if err != nil && res.Err == nil {
+		res.Err = err
 	}
 	// Exclusive-run accounting: the job ends when the simulation drains,
 	// and the A phase extends to that point.
-	res.End = eng.Now()
+	res.End = e.C.Eng.Now()
 	res.Elapsed = res.End - res.Start
 	if o, ok := res.Phases["O"]; ok {
 		res.Phases["A"] = res.End - (res.Start + o)
@@ -199,16 +171,8 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, res *job.Result, d
 		return
 	}
 
-	e.acquireDaemons()
-	e.profiling.Start(e.Prof, eng)
-
-	tr := ctl.Tracer(e.Tracer)
-	e.tp.SetTracer(tr)
-	var jsp *trace.Span
-	if tr != nil {
-		jsp = tr.Begin("job:"+spec.Name, "job", 0, trace.TidDriver, res.Start).
-			Annotate("engine", e.Name())
-	}
+	fr := e.Begin(ctl, spec.Name, e.Name(), e.Cfg.DaemonMem)
+	jsp := fr.Span
 
 	nO := e.Cfg.TasksPerNode * e.C.N()
 	if nO > len(blocks) {
@@ -238,6 +202,9 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, res *job.Result, d
 		if jobErr == nil {
 			jobErr = err
 		}
+		// The job is over: wake A ranks parked in Recv for splits that
+		// will never arrive, so they exit without output.
+		world.Abort()
 	}
 	var oPhaseEnd float64
 	oDone := 0
@@ -355,20 +322,15 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, res *job.Result, d
 		driver.Sleep(e.Cfg.JobFinalize)
 		res.End = eng.Now()
 		res.Elapsed = res.End - res.Start
+		var names []string
+		var ends []float64
 		if oPhaseEnd > 0 {
-			res.Phases["O"] = oPhaseEnd - res.Start
-			res.Phases["A"] = res.End - oPhaseEnd
+			names, ends = phaseNames, []float64{oPhaseEnd, res.End}
 		}
-		if jsp != nil {
-			jsp.EndAt(res.End)
-			if oPhaseEnd > 0 {
-				tr.BeginChild(jsp, "O", "phase", 0, trace.TidDriver, res.Start).EndAt(oPhaseEnd)
-				tr.BeginChild(jsp, "A", "phase", 0, trace.TidDriver, oPhaseEnd).EndAt(res.End)
-			}
+		for i, d := range fr.End(res.End, names, ends) {
+			res.Phases[names[i]] = d
 		}
 		res.Err = jobErr
-		e.profiling.Stop(e.Prof)
-		e.releaseDaemons()
 		if done != nil {
 			done(*res)
 		}
@@ -429,16 +391,9 @@ func (r *aRecovery) taskDone(now float64) {
 	}
 }
 
-// acquireDaemons charges the per-node runtime residency when the first
-// concurrent job starts; releaseDaemons frees it with the last.
-func (e *Engine) acquireDaemons() {
-	if e.daemons == nil {
-		e.daemons = sched.NewResidency(e.C)
-	}
-	e.daemons.Acquire(e.Cfg.DaemonMem)
-}
-
-func (e *Engine) releaseDaemons() { e.daemons.Release() }
+// phaseNames are a Common-mode job's two phases: O runs until the last
+// O task completes, A from there to the job's end.
+var phaseNames = []string{"O", "A"}
 
 // buildWorld lays out nO O-ranks followed by nA A-ranks, each side spread
 // round-robin across nodes.
@@ -451,7 +406,7 @@ func (e *Engine) buildWorld(nO, nA int) *mpi.World {
 		nodeOf[nO+a] = a % e.C.N()
 	}
 	w := mpi.NewWorld(e.C, nodeOf)
-	w.SetTransport(e.tp)
+	w.SetTransport(e.Transport())
 	return w
 }
 
@@ -473,7 +428,7 @@ func (e *Engine) assignSplits(pl sched.Placer, blocks []*dfs.Block, nO int, w *m
 // everything it allocates is released by defers even when cancelled.
 func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mpi.World, rank, nO, nA int, splits []*dfs.Block) error {
 	cfg := &e.Cfg
-	scale := e.scale()
+	scale := e.Scale()
 	node := att.Node()
 	mem := e.C.Node(node).Mem
 	p.Sleep(cfg.TaskStart)
@@ -505,12 +460,11 @@ func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 		}
 		parts, _, _ := coll.Finish()
 		emitScale := spec.EmitScale()
-		emittedNominal := 0.0
+		emitted := 0
 		for _, part := range parts {
-			for _, pr := range part {
-				emittedNominal += float64(pr.Size()+6) * emitScale
-			}
+			emitted += kv.FramedBytes(part)
 		}
+		emittedNominal := float64(emitted) * emitScale
 
 		// Send buffers hold one pipelining unit per destination. The held
 		// amount is tracked so the deferred release covers a cancelled
@@ -523,7 +477,7 @@ func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 		sendBufHeld += sendBufMem
 
 		cpuSec := spec.CPUAdjust(e.Name()) * (cfg.CPUPerByteO*spec.MapCPUFactor*inflatedNominal +
-			e.tp.Profile().EmitCPUPerByte*emittedNominal +
+			e.Transport().Profile().EmitCPUPerByte*emittedNominal +
 			cfg.CPUPerRecord*nominalRecords)
 
 		var wg sim.WaitGroup
@@ -538,10 +492,7 @@ func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 		}
 		sendAll := func(sg *sim.WaitGroup) {
 			for a := 0; a < nA; a++ {
-				nominal := 0.0
-				for _, pr := range parts[a] {
-					nominal += float64(pr.Size()+6) * emitScale
-				}
+				nominal := float64(kv.FramedBytes(parts[a])) * emitScale
 				sg.Add(1)
 				w.IsendFromRecords(node, rank, nO+a, splitTag(blk), nominal,
 					float64(len(parts[a]))*emitScale, parts[a], sg.Done)
@@ -571,13 +522,8 @@ func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 		if mapOnly && spec.Output != "" {
 			// Attempt-scoped temp write; the tracker renames the winner's
 			// file into place (exactly-once even under a speculative race).
-			enc := job.EncodeTextOutput(parts[0])
 			name := att.ScopedPath(fmt.Sprintf("%s/part-o-%05d", spec.Output, blk.ID))
-			fw := e.FS.CreateScaled(name, node, emitScale)
-			if err := fw.Write(p, enc); err != nil {
-				return err
-			}
-			if err := fw.Close(p); err != nil {
+			if err := job.WriteTextOutput(p, e.FS, name, node, emitScale, parts[0]); err != nil {
 				return err
 			}
 		}
@@ -639,6 +585,9 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 	seenTags := make(map[int]bool, totalSplits)
 	for len(seenTags) < totalSplits {
 		m := w.Recv(p, rank, mpi.AnySource, -1)
+		if m == nil {
+			return nil // the job failed; the deferred frees release the buffers
+		}
 		if seenTags[m.Tag] {
 			res.AddCounter("duplicate_bytes_nominal", int64(m.Nominal))
 			continue
@@ -750,19 +699,9 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 
 	reduced := spec.GroupReduce(all)
 	res.OutRecords += int64(len(reduced))
-	if spec.Output != "" {
-		enc := job.EncodeTextOutput(reduced)
-		name := att.ScopedPath(fmt.Sprintf("%s/part-a-%05d", spec.Output, a))
-		fw := e.FS.CreateScaled(name, node, spec.EmitScale())
-		if err := fw.Write(p, enc); err != nil {
-			return err
-		}
-		if err := fw.Close(p); err != nil {
-			return err
-		}
+	if spec.Output == "" {
+		return nil
 	}
-	return nil
+	name := att.ScopedPath(fmt.Sprintf("%s/part-a-%05d", spec.Output, a))
+	return job.WriteTextOutput(p, e.FS, name, node, spec.EmitScale(), reduced)
 }
-
-// AttachProfiler wires a resource profiler into the engine.
-func (e *Engine) AttachProfiler(p *metrics.Profiler) { e.Prof = p }

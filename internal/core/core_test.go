@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"compress/gzip"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -387,5 +389,32 @@ func TestJobCounters(t *testing.T) {
 	}
 	if res.Counters["pipelined_bytes_nominal"] <= 0 {
 		t.Fatal("no pipelined bytes recorded")
+	}
+}
+
+// TestIterationLoadFailureReleasesMemory: an Iteration-mode job whose
+// input cannot be decoded returns the decode error and frees every O
+// rank's process and cached memory.
+func TestIterationLoadFailureReleasesMemory(t *testing.T) {
+	c, fs, eng := testSetup(8*cluster.KB, 1)
+	in := fs.PreloadAligned("/in", genText(14, 32*1024), '\n')
+	if len(in.Blocks) < 4 {
+		t.Fatalf("want at least 4 input blocks, got %d", len(in.Blocks))
+	}
+	it := IterationJob[int]{
+		Name: "undecodable", Input: in, InputFormat: job.SeqGzip, Rounds: 2,
+		LoadO:      func(records []kv.Pair) any { return len(records) },
+		RunO:       func(round int, state int, cached any, emit job.Emit) {},
+		RunA:       func(round int, grouped []kv.Pair) []kv.Pair { return nil },
+		MergeState: func(round int, state int, aggs []kv.Pair) (int, bool) { return state, true },
+	}
+	res := RunIteration(eng, it, 0)
+	if !errors.Is(res.Err, gzip.ErrHeader) {
+		t.Fatalf("error %v, want one wrapping %v", res.Err, gzip.ErrHeader)
+	}
+	for i := 0; i < c.N(); i++ {
+		if used := c.Node(i).Mem.Used(); used != 0 {
+			t.Fatalf("node %d leaked %.0f bytes", i, used)
+		}
 	}
 }

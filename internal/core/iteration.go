@@ -60,7 +60,7 @@ func RunIteration[S any](e *Engine, it IterationJob[S], initial S) IterationResu
 	res := IterationResult[S]{}
 	eng := e.C.Eng
 	cfg := &e.Cfg
-	scale := e.scale()
+	scale := e.Scale()
 	start := eng.Now()
 
 	if it.CPUFactorO <= 0 {
@@ -71,167 +71,152 @@ func RunIteration[S any](e *Engine, it IterationJob[S], initial S) IterationResu
 		res.Err = fmt.Errorf("datampi: iteration job %s has empty input", it.Name)
 		return res
 	}
-	if e.Prof != nil {
-		e.Prof.Start()
-	}
-
-	nO := cfg.TasksPerNode * e.C.N()
-	if nO > len(blocks) {
-		nO = len(blocks)
-	}
-	nA := e.C.N() // one aggregator per node
-	world := e.buildWorld(nO, nA)
-	splitsOf := e.assignSplits(sched.Placer{Nodes: e.C.N()}, blocks, nO, world)
 
 	state := initial
 	var jobErr error
-	roundStart := start
-
-	// Persistent task state.
-	cached := make([]any, nO)
-	cachedNominal := make([]float64, nO)
-
-	var wg sim.WaitGroup
-	eng.Go("datampi-iter:"+it.Name, func(driver *sim.Proc) {
-		driver.Sleep(cfg.MPIRunLaunch)
-
-		// Load phase: O tasks read and cache their splits.
-		wg.Add(nO)
-		for o := 0; o < nO; o++ {
-			o := o
-			eng.Go(fmt.Sprintf("O-load-%d", o), func(p *sim.Proc) {
-				defer wg.Done()
-				node := world.NodeOf(o)
-				p.Node = node
-				p.Sleep(cfg.TaskStart)
-				e.C.Node(node).Mem.MustAlloc(cfg.ProcBaseMem)
-				var recs []kv.Pair
-				var inflated int
-				for _, blk := range splitsOf[o] {
-					var wgr sim.WaitGroup
-					if err := e.FS.StartRead(blk, node, &wgr); err != nil {
-						jobErr = err
-						return
-					}
-					r, inf, err := job.Records(it.InputFormat, blk.Data)
-					if err != nil {
-						jobErr = err
-						return
-					}
-					// Parse CPU overlapped with the read.
-					wgr.Add(1)
-					e.C.Node(node).CPU.Start(cfg.CPUPerByteO*float64(inf)*scale, wgr.Done)
-					p.BlockReason = "disk"
-					wgr.Wait(p)
-					p.BlockReason = ""
-					recs = append(recs, r...)
-					inflated += inf
-				}
-				cached[o] = it.LoadO(recs)
-				cachedNominal[o] = float64(inflated) * scale
-				// Cached data stays resident for the whole job.
-				e.C.Node(node).Mem.MustAlloc(cachedNominal[o])
-			})
+	err := e.RunSolo(func(ctl *sched.JobControl, done func()) {
+		fr := e.Begin(ctl, it.Name, e.Name(), cfg.DaemonMem)
+		nO := cfg.TasksPerNode * e.C.N()
+		if nO > len(blocks) {
+			nO = len(blocks)
 		}
-		wg.Wait(driver)
-		if jobErr != nil {
-			if e.Prof != nil {
-				e.Prof.Stop()
-			}
-			return
-		}
+		nA := e.C.N() // one aggregator per node
+		world := e.buildWorld(nO, nA)
+		splitsOf := e.assignSplits(ctl.Placer(), blocks, nO, world)
+		roundStart := start
 
-		for round := 1; round <= it.Rounds; round++ {
-			aggParts := make([][]kv.Pair, nA)
-			// O compute + pipelined send.
+		// Persistent task state.
+		cached := make([]any, nO)
+		cachedNominal := make([]float64, nO)
+
+		var wg sim.WaitGroup
+		eng.Go("datampi-iter:"+it.Name, func(driver *sim.Proc) {
+			driver.Sleep(cfg.MPIRunLaunch)
+
+			// Load phase: O tasks read and cache their splits.
 			wg.Add(nO)
 			for o := 0; o < nO; o++ {
 				o := o
-				eng.Go(fmt.Sprintf("O-r%d-%d", round, o), func(p *sim.Proc) {
+				eng.Go(fmt.Sprintf("O-load-%d", o), func(p *sim.Proc) {
 					defer wg.Done()
 					node := world.NodeOf(o)
 					p.Node = node
-					coll := kv.NewPartitionCollector(nA, 0, nil, kv.HashPartitioner{})
-					it.RunO(round, state, cached[o], coll.Emit)
-					parts, _, _ := coll.Finish()
-					cpuSec := cfg.CPUPerByteO * it.CPUFactorO * cachedNominal[o]
-					var wgo sim.WaitGroup
-					wgo.Add(1)
-					e.C.Node(node).CPU.Start(cpuSec, wgo.Done)
-					for a := 0; a < nA; a++ {
-						// Round results are aggregates (cardinality-bound),
-						// charged unscaled.
-						nominal := 0.0
-						for _, pr := range parts[a] {
-							nominal += float64(pr.Size() + 6)
+					p.Sleep(cfg.TaskStart)
+					e.C.Node(node).Mem.MustAlloc(cfg.ProcBaseMem)
+					var recs []kv.Pair
+					var inflated int
+					for _, blk := range splitsOf[o] {
+						var wgr sim.WaitGroup
+						if err := e.FS.StartRead(blk, node, &wgr); err != nil {
+							jobErr = err
+							return
 						}
-						wgo.Add(1)
-						world.Isend(o, nO+a, round, nominal, parts[a], wgo.Done)
+						r, inf, err := job.Records(it.InputFormat, blk.Data)
+						if err != nil {
+							jobErr = err
+							return
+						}
+						// Parse CPU overlapped with the read.
+						wgr.Add(1)
+						e.C.Node(node).CPU.Start(cfg.CPUPerByteO*float64(inf)*scale, wgr.Done)
+						p.BlockReason = "disk"
+						wgr.Wait(p)
+						p.BlockReason = ""
+						recs = append(recs, r...)
+						inflated += inf
 					}
-					p.BlockReason = "cpu"
-					wgo.Wait(p)
-					p.BlockReason = ""
-				})
-			}
-			// A aggregate.
-			wg.Add(nA)
-			for a := 0; a < nA; a++ {
-				a := a
-				eng.Go(fmt.Sprintf("A-r%d-%d", round, a), func(p *sim.Proc) {
-					defer wg.Done()
-					rank := nO + a
-					node := world.NodeOf(rank)
-					p.Node = node
-					var all []kv.Pair
-					totalNominal := 0.0
-					for i := 0; i < nO; i++ {
-						m := world.Recv(p, rank, -1, round)
-						all = append(all, m.Payload.([]kv.Pair)...)
-						totalNominal += m.Nominal
-					}
-					kv.SortPairs(all)
-					e.C.Node(node).CPU.Use(p, cfg.CPUPerByteA*totalNominal+cfg.CPUPerRecord*float64(len(all))*scale, "cpu")
-					aggParts[a] = it.RunA(round, all)
+					cached[o] = it.LoadO(recs)
+					cachedNominal[o] = float64(inflated) * scale
+					// Cached data stays resident for the whole job.
+					e.C.Node(node).Mem.MustAlloc(cachedNominal[o])
 				})
 			}
 			wg.Wait(driver)
-			if jobErr != nil {
-				break
-			}
-			var aggregates []kv.Pair
-			for _, part := range aggParts {
-				aggregates = append(aggregates, part...)
-			}
-			kv.SortPairs(aggregates)
-			var done bool
-			state, done = it.MergeState(round, state, aggregates)
-			// Broadcast the new state for the next round (charged from
-			// node 0 to all nodes).
-			for n := 1; n < e.C.N(); n++ {
-				e.C.Net.StartFlow(0, n, it.StateNominalBytes, nil)
-			}
-			now := eng.Now()
-			res.RoundTimes = append(res.RoundTimes, now-roundStart)
-			if round == 1 {
-				res.FirstRound = now - start
-			}
-			roundStart = now
-			res.Rounds = round
-			if done {
-				break
-			}
-		}
-		// Release cached data and process memory.
-		for o := 0; o < nO; o++ {
-			e.C.Node(world.NodeOf(o)).Mem.Free(cachedNominal[o] + cfg.ProcBaseMem)
-		}
-		driver.Sleep(cfg.JobFinalize)
-		if e.Prof != nil {
-			e.Prof.Stop()
-		}
-	})
 
-	if err := eng.Run(); err != nil && jobErr == nil {
+			for round := 1; jobErr == nil && round <= it.Rounds; round++ {
+				aggParts := make([][]kv.Pair, nA)
+				// O compute + pipelined send.
+				wg.Add(nO)
+				for o := 0; o < nO; o++ {
+					o := o
+					eng.Go(fmt.Sprintf("O-r%d-%d", round, o), func(p *sim.Proc) {
+						defer wg.Done()
+						node := world.NodeOf(o)
+						p.Node = node
+						coll := kv.NewPartitionCollector(nA, 0, nil, kv.HashPartitioner{})
+						it.RunO(round, state, cached[o], coll.Emit)
+						parts, _, _ := coll.Finish()
+						cpuSec := cfg.CPUPerByteO * it.CPUFactorO * cachedNominal[o]
+						var wgo sim.WaitGroup
+						wgo.Add(1)
+						e.C.Node(node).CPU.Start(cpuSec, wgo.Done)
+						for a := 0; a < nA; a++ {
+							// Round results are aggregates (cardinality-bound),
+							// charged unscaled.
+							wgo.Add(1)
+							world.Isend(o, nO+a, round, float64(kv.FramedBytes(parts[a])), parts[a], wgo.Done)
+						}
+						p.BlockReason = "cpu"
+						wgo.Wait(p)
+						p.BlockReason = ""
+					})
+				}
+				// A aggregate.
+				wg.Add(nA)
+				for a := 0; a < nA; a++ {
+					a := a
+					eng.Go(fmt.Sprintf("A-r%d-%d", round, a), func(p *sim.Proc) {
+						defer wg.Done()
+						rank := nO + a
+						node := world.NodeOf(rank)
+						p.Node = node
+						var all []kv.Pair
+						totalNominal := 0.0
+						for i := 0; i < nO; i++ {
+							m := world.Recv(p, rank, -1, round)
+							all = append(all, m.Payload.([]kv.Pair)...)
+							totalNominal += m.Nominal
+						}
+						kv.SortPairs(all)
+						e.C.Node(node).CPU.Use(p, cfg.CPUPerByteA*totalNominal+cfg.CPUPerRecord*float64(len(all))*scale, "cpu")
+						aggParts[a] = it.RunA(round, all)
+					})
+				}
+				wg.Wait(driver)
+				var aggregates []kv.Pair
+				for _, part := range aggParts {
+					aggregates = append(aggregates, part...)
+				}
+				kv.SortPairs(aggregates)
+				var stop bool
+				state, stop = it.MergeState(round, state, aggregates)
+				// Broadcast the new state for the next round (charged from
+				// node 0 to all nodes).
+				for n := 1; n < e.C.N(); n++ {
+					e.C.Net.StartFlow(0, n, it.StateNominalBytes, nil)
+				}
+				now := eng.Now()
+				res.RoundTimes = append(res.RoundTimes, now-roundStart)
+				if round == 1 {
+					res.FirstRound = now - start
+				}
+				roundStart = now
+				res.Rounds = round
+				if stop {
+					break
+				}
+			}
+			// Release cached data and process memory; every O rank holds
+			// its process memory even when its load failed.
+			for o := 0; o < nO; o++ {
+				e.C.Node(world.NodeOf(o)).Mem.Free(cachedNominal[o] + cfg.ProcBaseMem)
+			}
+			driver.Sleep(cfg.JobFinalize)
+			fr.End(eng.Now(), nil, nil)
+			done()
+		})
+	})
+	if err != nil && jobErr == nil {
 		jobErr = err
 	}
 	res.State = state

@@ -57,8 +57,8 @@ func TestRereplicateRestoresRackSpread(t *testing.T) {
 		fs.NodeDown(n)
 	}
 	c.Eng.Go("nn", func(p *sim.Proc) {
-		if _, err := fs.Rereplicate(p); err != nil {
-			t.Error(err)
+		if st := repairNow(p, fs); st.BlocksLost != 0 {
+			t.Errorf("%d blocks lost", st.BlocksLost)
 		}
 	})
 	if err := c.Eng.Run(); err != nil {

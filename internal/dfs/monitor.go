@@ -1,6 +1,5 @@
 // The replication monitor is the NameNode background daemon that keeps
-// the filesystem at its configured replication factor without anyone
-// calling Rereplicate by hand: it subscribes to datanode up/down events,
+// the filesystem at its configured replication factor: it subscribes to datanode up/down events,
 // waits out a detection delay (the heartbeat timeout), and then drives
 // prioritized, bandwidth-throttled replica copies until Fsck is healthy
 // again. Everything runs inside the simulation, so recovery traffic

@@ -10,7 +10,7 @@ import (
 
 // TestMonitorRereplicatesOnNodeDown: the monitor must react to a datanode
 // failure by itself — detection delay, prioritized copies, and a healthy
-// Fsck afterwards — with no one calling Rereplicate.
+// Fsck afterwards — with no test driving a repair pass by hand.
 func TestMonitorRereplicatesOnNodeDown(t *testing.T) {
 	c := testCluster()
 	fs := New(c, DefaultConfig())
@@ -305,8 +305,8 @@ func TestFsckReportsOverReplication(t *testing.T) {
 	victim := f.Blocks[0].Locations[0]
 	fs.NodeDown(victim)
 	c.Eng.Go("nn", func(p *sim.Proc) {
-		if _, err := fs.Rereplicate(p); err != nil {
-			t.Error(err)
+		if st := repairNow(p, fs); st.BlocksLost != 0 {
+			t.Errorf("%d blocks lost", st.BlocksLost)
 		}
 	})
 	if err := c.Eng.Run(); err != nil {

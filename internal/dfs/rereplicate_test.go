@@ -31,6 +31,16 @@ func TestFsckDetectsUnderReplication(t *testing.T) {
 	}
 }
 
+// repairNow runs one replication-monitor pass over the current block
+// table inside p, as the NameNode does once it declares nodes dead, and
+// returns the pass's counters.
+func repairNow(p *sim.Proc, fs *FS) MonitorStats {
+	m := NewReplicationMonitor(fs, MonitorConfig{})
+	defer m.Stop()
+	m.run(p)
+	return m.Stats()
+}
+
 func TestRereplicateRestoresFactor(t *testing.T) {
 	c := testCluster()
 	fs := New(c, DefaultConfig())
@@ -45,18 +55,17 @@ func TestRereplicateRestoresFactor(t *testing.T) {
 		t.Skip("seed produced no under-replicated blocks") // deterministic seed: should not happen
 	}
 
-	var created int
-	var rerr error
+	var st MonitorStats
 	c.Eng.Go("nn-monitor", func(p *sim.Proc) {
-		created, rerr = fs.Rereplicate(p)
+		st = repairNow(p, fs)
 	})
 	if err := c.Eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if rerr != nil {
-		t.Fatal(rerr)
+	if st.BlocksLost != 0 {
+		t.Fatalf("%d blocks lost", st.BlocksLost)
 	}
-	if created == 0 {
+	if st.BlocksRereplicated == 0 {
 		t.Fatal("no replicas created")
 	}
 	after := fs.Fsck()
@@ -90,15 +99,15 @@ func TestRereplicateReportsDataLoss(t *testing.T) {
 	for _, loc := range f.Blocks[0].Locations {
 		fs.NodeDown(loc)
 	}
-	var rerr error
+	var st MonitorStats
 	c.Eng.Go("nn", func(p *sim.Proc) {
-		_, rerr = fs.Rereplicate(p)
+		st = repairNow(p, fs)
 	})
 	if err := c.Eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if rerr == nil {
-		t.Fatal("expected data-loss error")
+	if st.BlocksLost != 1 || st.BytesLost != f.Blocks[0].Nominal {
+		t.Fatalf("want block 0 reported lost, got %+v", st)
 	}
 }
 
@@ -114,8 +123,8 @@ func TestReadsWorkThroughFailureAndRecovery(t *testing.T) {
 	fs.Preload("/d", data)
 	fs.NodeDown(1)
 	c.Eng.Go("ops", func(p *sim.Proc) {
-		if _, err := fs.Rereplicate(p); err != nil {
-			t.Error(err)
+		if st := repairNow(p, fs); st.BlocksLost != 0 {
+			t.Errorf("%d blocks lost", st.BlocksLost)
 			return
 		}
 		fs.NodeDown(2)

@@ -43,18 +43,13 @@ func runMicro(fw Framework, wl microWorkload, nominalGB float64, rc RigConfig) (
 		spec = bdb.GrepSpec(rig.FS, in, "/bench/out", GrepPattern, reducers)
 	case wlNormalSort:
 		// Normal Sort's "size" axis is the compressed sequence-file size;
-		// generate enough text that the gzip output hits the target. Both
-		// probe calls stay: each advances the DFS placement stream, and
-		// the figure goldens pin the resulting layout.
-		probeSeq, probeText := mustSeq(rig.FS, bdb.LDAWiki1W(), rc.Seed+4, 64*1024*float64(rig.FS.Config().Scale), "/bench/probe-text", "/bench/probe-seq")
-		_, _ = probeSeq, probeText
+		// generate enough text that the gzip output hits the target.
 		textNominal := nominal * seqRatio(rig.FS, rc.Seed+4)
-		in := bdb.GenerateTextFile(rig.FS, "/bench/text", bdb.LDAWiki1W(), rc.Seed+4, textNominal)
+		bdb.GenerateTextFile(rig.FS, "/bench/text", bdb.LDAWiki1W(), rc.Seed+4, textNominal)
 		seq, err := bdb.ToSeqFile(rig.FS, "/bench/text", "/bench/seq")
 		if err != nil {
 			return job.Result{Err: err}, rig
 		}
-		_ = in
 		spec = bdb.NormalSortSpec(rig.FS, seq, "/bench/out", reducers)
 	}
 	return rig.Engine.Run(spec), rig

@@ -326,3 +326,17 @@ func TestReportRenderAlignment(t *testing.T) {
 		t.Fatalf("render too short:\n%s", out)
 	}
 }
+
+// TestFig3aNormalSortPin runs the 4 GB Normal Sort row of Figure 3(a) on
+// all three frameworks and pins its simulated seconds: the sequence-file
+// input path (mustSeq, seqRatio, ToSeqFile) is otherwise untested, and
+// Spark must OOM as in the paper.
+func TestFig3aNormalSortPin(t *testing.T) {
+	rc := RigConfig{Scale: 8192, Seed: 1}
+	h, _ := runMicro(Hadoop, wlNormalSort, 4, rc)
+	d, _ := runMicro(DataMPI, wlNormalSort, 4, rc)
+	s, _ := runMicro(Spark, wlNormalSort, 4, rc)
+	if got := []string{resultCell(h), resultCell(d), resultCell(s)}; got[0] != "264" || got[1] != "155" || got[2] != "OOM" {
+		t.Fatalf("4 GB Normal Sort (Hadoop, DataMPI, Spark) = %v, want [264 155 OOM]", got)
+	}
+}

@@ -16,6 +16,7 @@ import (
 
 	"github.com/datampi/datampi-go/internal/dfs"
 	"github.com/datampi/datampi-go/internal/kv"
+	"github.com/datampi/datampi-go/internal/sim"
 )
 
 // Format identifies how block bytes decode into records.
@@ -268,6 +269,16 @@ func EncodeTextOutput(pairs []kv.Pair) []byte {
 		buf.WriteByte('\n')
 	}
 	return buf.Bytes()
+}
+
+// WriteTextOutput writes pairs in TextOutputFormat to a new DFS file
+// name created on node, each actual byte charged as scale nominal bytes.
+func WriteTextOutput(p *sim.Proc, fs *dfs.FS, name string, node int, scale float64, pairs []kv.Pair) error {
+	w := fs.CreateScaled(name, node, scale)
+	if err := w.Write(p, EncodeTextOutput(pairs)); err != nil {
+		return err
+	}
+	return w.Close(p)
 }
 
 // ReadTextOutput gathers a job's output part files (files whose names

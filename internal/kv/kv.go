@@ -24,6 +24,20 @@ type Pair struct {
 // Size returns the payload bytes of the pair (excluding framing).
 func (p Pair) Size() int { return len(p.Key) + len(p.Value) }
 
+// Framing is the per-record overhead, in bytes, the engines charge for a
+// pair on disk or on the wire on top of its payload.
+const Framing = 6
+
+// FramedBytes returns the framed size of pairs: each pair's Size plus
+// Framing.
+func FramedBytes(pairs []Pair) int {
+	n := 0
+	for _, p := range pairs {
+		n += p.Size() + Framing
+	}
+	return n
+}
+
 // Clone deep-copies the pair.
 func (p Pair) Clone() Pair {
 	return Pair{Key: append([]byte(nil), p.Key...), Value: append([]byte(nil), p.Value...)}

@@ -1,8 +1,7 @@
 // Package mpi implements the message-passing substrate DataMPI extends:
-// a World of ranks pinned to cluster nodes, eager point-to-point sends
-// (blocking and nonblocking) carrying real payloads over the simulated
-// fabric, and the collectives the DataMPI runtime uses (Barrier, Bcast,
-// Gather, Allreduce-style reductions).
+// a World of ranks pinned to cluster nodes and eager nonblocking
+// point-to-point sends carrying real payloads over the simulated fabric
+// into per-rank mailboxes.
 //
 // The paper runs DataMPI over MVAPICH2; this package plays that role. It
 // charges the simulated network for every byte moved, delivers payloads
@@ -36,14 +35,10 @@ type World struct {
 
 	boxes   map[int][]*Message // per-receiver mailbox, arrival order
 	conds   map[int]*sim.Cond
-	barrier struct {
-		waiting int
-		gen     int
-		cond    sim.Cond
-	}
+	aborted bool // Abort was called: every Recv returns nil
 
 	// LatencySecs is the per-message software latency (MPI stack +
-	// protocol), charged once per Send.
+	// protocol), charged once per message.
 	LatencySecs float64
 
 	// tp carries every send to the fabric: a zero-profile transport
@@ -118,7 +113,7 @@ func (w *World) Isend(from, to, tag int, nominalBytes float64, payload any, onDo
 	if from < 0 || from >= len(w.nodeOf) {
 		panic(fmt.Sprintf("mpi: Isend with invalid ranks %d->%d", from, to))
 	}
-	w.IsendFrom(w.nodeOf[from], from, to, tag, nominalBytes, payload, onDone)
+	w.IsendFromRecords(w.nodeOf[from], from, to, tag, nominalBytes, 0, payload, onDone)
 }
 
 // SetTransport replaces the world's transport: sends run its active
@@ -126,17 +121,12 @@ func (w *World) Isend(from, to, tag int, nominalBytes float64, payload any, onDo
 // deserialize after it.
 func (w *World) SetTransport(tp *transport.Transport) { w.tp = tp }
 
-// IsendFrom is Isend with the source node overridden: a speculative
-// backup attempt executing rank from on a different node streams its
-// partitions over that node's links, not the rank's home links.
-func (w *World) IsendFrom(srcNode, from, to, tag int, nominalBytes float64, payload any, onDone func()) {
-	w.IsendFromRecords(srcNode, from, to, tag, nominalBytes, 0, payload, onDone)
-}
-
-// IsendFromRecords is IsendFrom with the payload's nominal record
-// count, which the staged transport uses for per-record costs and the
-// zero-copy eligibility check (records <= 0 means one contiguous
-// buffer).
+// IsendFromRecords is Isend with the source node overridden and the
+// payload's nominal record count given. A speculative backup attempt
+// executing rank from on a different node streams its partitions over
+// that node's links, not the rank's home links. The staged transport
+// uses the record count for per-record costs and the zero-copy
+// eligibility check (records <= 0 means one contiguous buffer).
 func (w *World) IsendFromRecords(srcNode, from, to, tag int, nominalBytes, nominalRecords float64, payload any, onDone func()) {
 	if from < 0 || from >= len(w.nodeOf) || to < 0 || to >= len(w.nodeOf) {
 		panic(fmt.Sprintf("mpi: Isend with invalid ranks %d->%d", from, to))
@@ -158,22 +148,12 @@ func (w *World) IsendFromRecords(srcNode, from, to, tag int, nominalBytes, nomin
 	w.tp.Send(srcNode, w.nodeOf[to], nominalBytes, nominalRecords, arrive)
 }
 
-// Send is the blocking form of Isend: it parks the proc until the
-// transfer completes (an eager/buffered send that has fully drained).
-func (w *World) Send(p *sim.Proc, from, to, tag int, nominalBytes float64, payload any) {
-	var wg sim.WaitGroup
-	wg.Add(1)
-	w.Isend(from, to, tag, nominalBytes, payload, wg.Done)
-	p.BlockReason = "net-send"
-	wg.Wait(p)
-	p.BlockReason = ""
-}
-
 // Recv blocks rank until a message matching (from, tag) arrives and
 // returns it. from may be AnySource; tag < 0 matches any tag. Matching
-// preserves arrival order (MPI's non-overtaking rule per pair).
+// preserves arrival order (MPI's non-overtaking rule per pair). Once the
+// world is aborted Recv returns nil.
 func (w *World) Recv(p *sim.Proc, rank, from, tag int) *Message {
-	for {
+	for !w.aborted {
 		box := w.boxes[rank]
 		for i, m := range box {
 			if (from == AnySource || m.From == from) && (tag < 0 || m.Tag == tag) {
@@ -183,51 +163,17 @@ func (w *World) Recv(p *sim.Proc, rank, from, tag int) *Message {
 		}
 		w.cond(rank).Wait(p, "net-recv")
 	}
-}
-
-// TryRecv is the nonblocking probe-and-receive: it returns nil when no
-// matching message is queued.
-func (w *World) TryRecv(rank, from, tag int) *Message {
-	box := w.boxes[rank]
-	for i, m := range box {
-		if (from == AnySource || m.From == from) && (tag < 0 || m.Tag == tag) {
-			w.boxes[rank] = append(box[:i:i], box[i+1:]...)
-			return m
-		}
-	}
 	return nil
 }
 
-// Pending reports how many undelivered messages wait in rank's mailbox.
-func (w *World) Pending(rank int) int { return len(w.boxes[rank]) }
-
-// Barrier blocks until all ranks have entered it.
-func (w *World) Barrier(p *sim.Proc) {
-	gen := w.barrier.gen
-	w.barrier.waiting++
-	if w.barrier.waiting == len(w.nodeOf) {
-		w.barrier.waiting = 0
-		w.barrier.gen++
-		w.barrier.cond.Broadcast()
-		return
-	}
-	for w.barrier.gen == gen {
-		w.barrier.cond.Wait(p, "barrier")
-	}
-}
-
-// Bcast sends payload from root to every other rank (blocking at the
-// caller until all transfers complete). Receivers must Recv with the tag.
-func (w *World) Bcast(p *sim.Proc, root, tag int, nominalBytes float64, payload any) {
-	var wg sim.WaitGroup
-	for r := 0; r < len(w.nodeOf); r++ {
-		if r == root {
-			continue
+// Abort ends the world's communication, as MPI_Abort does when a job
+// fails: every rank parked in Recv wakes, and Recv returns nil from now
+// on. Messages still in flight are delivered to mailboxes no one reads.
+func (w *World) Abort() {
+	w.aborted = true
+	for r := range w.nodeOf {
+		if c, ok := w.conds[r]; ok {
+			c.Broadcast()
 		}
-		wg.Add(1)
-		w.Isend(root, r, tag, nominalBytes, payload, wg.Done)
 	}
-	p.BlockReason = "net-send"
-	wg.Wait(p)
-	p.BlockReason = ""
 }

@@ -12,11 +12,20 @@ func world(ranksPerNode int) (*cluster.Cluster, *World) {
 	return c, RoundRobinWorld(c, ranksPerNode)
 }
 
+// send is a blocking send: Isend, then park p until the transfer has
+// been delivered.
+func send(p *sim.Proc, w *World, from, to, tag int, nominalBytes float64, payload any) {
+	var wg sim.WaitGroup
+	wg.Add(1)
+	w.Isend(from, to, tag, nominalBytes, payload, wg.Done)
+	wg.Wait(p)
+}
+
 func TestSendRecvPayload(t *testing.T) {
 	c, w := world(1)
 	var got string
 	c.Eng.Go("sender", func(p *sim.Proc) {
-		w.Send(p, 0, 1, 7, 1e6, "hello")
+		send(p, w, 0, 1, 7, 1e6, "hello")
 	})
 	c.Eng.Go("receiver", func(p *sim.Proc) {
 		m := w.Recv(p, 1, 0, 7)
@@ -38,7 +47,7 @@ func TestRecvAnySource(t *testing.T) {
 	seen := map[int]bool{}
 	for s := 1; s <= 3; s++ {
 		s := s
-		c.Eng.Go("s", func(p *sim.Proc) { w.Send(p, s, 0, 1, 1000, s) })
+		c.Eng.Go("s", func(p *sim.Proc) { send(p, w, s, 0, 1, 1000, s) })
 	}
 	c.Eng.Go("r", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
@@ -59,7 +68,7 @@ func TestMessageOrderingPerPair(t *testing.T) {
 	var order []int
 	c.Eng.Go("s", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
-			w.Send(p, 0, 1, 1, 1000, i)
+			send(p, w, 0, 1, 1, 1000, i)
 		}
 	})
 	c.Eng.Go("r", func(p *sim.Proc) {
@@ -82,8 +91,8 @@ func TestTagMatching(t *testing.T) {
 	c, w := world(1)
 	var first int
 	c.Eng.Go("s", func(p *sim.Proc) {
-		w.Send(p, 0, 1, 10, 100, 10)
-		w.Send(p, 0, 1, 20, 100, 20)
+		send(p, w, 0, 1, 10, 100, 10)
+		send(p, w, 0, 1, 20, 100, 20)
 	})
 	c.Eng.Go("r", func(p *sim.Proc) {
 		// Receive tag 20 first even though tag 10 arrived first.
@@ -96,56 +105,6 @@ func TestTagMatching(t *testing.T) {
 	}
 	if first != 20 {
 		t.Fatalf("tag matching failed: got %d", first)
-	}
-}
-
-func TestBarrier(t *testing.T) {
-	c, w := world(2) // 16 ranks
-	var exits []float64
-	for r := 0; r < w.Size(); r++ {
-		r := r
-		c.Eng.Go("rank", func(p *sim.Proc) {
-			p.Sleep(float64(r)) // staggered arrival
-			w.Barrier(p)
-			exits = append(exits, c.Eng.Now())
-		})
-	}
-	if err := c.Eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(exits) != w.Size() {
-		t.Fatalf("%d ranks exited barrier", len(exits))
-	}
-	for _, e := range exits {
-		if e != exits[0] {
-			t.Fatalf("ranks exited barrier at different times: %v", exits)
-		}
-	}
-	if exits[0] < float64(w.Size()-1) {
-		t.Fatalf("barrier exited at %v, before last arrival", exits[0])
-	}
-}
-
-func TestBcast(t *testing.T) {
-	c, w := world(1)
-	got := make([]int, w.Size())
-	c.Eng.Go("root", func(p *sim.Proc) {
-		w.Bcast(p, 0, 5, 1e6, 42)
-	})
-	for r := 1; r < w.Size(); r++ {
-		r := r
-		c.Eng.Go("rank", func(p *sim.Proc) {
-			m := w.Recv(p, r, 0, 5)
-			got[r] = m.Payload.(int)
-		})
-	}
-	if err := c.Eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for r := 1; r < w.Size(); r++ {
-		if got[r] != 42 {
-			t.Fatalf("rank %d got %d", r, got[r])
-		}
 	}
 }
 
@@ -171,18 +130,30 @@ func TestIsendOverlapsCompute(t *testing.T) {
 	}
 }
 
-func TestTryRecv(t *testing.T) {
+// TestAbortWakesReceivers: ranks parked in Recv when the world aborts
+// wake and get nil, and a later Recv returns nil at once.
+func TestAbortWakesReceivers(t *testing.T) {
 	c, w := world(1)
-	c.Eng.Go("r", func(p *sim.Proc) {
-		if m := w.TryRecv(0, AnySource, -1); m != nil {
-			t.Error("TryRecv returned message from empty mailbox")
-		}
-		w.Send(p, 0, 0, 1, 10, "self") // loopback send to self
-		for w.TryRecv(0, AnySource, -1) == nil {
-			p.Sleep(0.001)
+	woke := 0
+	for r := 1; r < w.Size(); r++ {
+		r := r
+		c.Eng.Go("rank", func(p *sim.Proc) {
+			if m := w.Recv(p, r, AnySource, -1); m == nil {
+				woke++
+			}
+		})
+	}
+	c.Eng.Go("root", func(p *sim.Proc) {
+		p.Sleep(1)
+		w.Abort()
+		if m := w.Recv(p, 0, AnySource, -1); m != nil {
+			t.Error("Recv after Abort returned a message")
 		}
 	})
 	if err := c.Eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if woke != w.Size()-1 {
+		t.Fatalf("%d of %d parked ranks woke on Abort", woke, w.Size()-1)
 	}
 }

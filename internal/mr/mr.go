@@ -19,7 +19,6 @@ import (
 	"github.com/datampi/datampi-go/internal/dfs"
 	"github.com/datampi/datampi-go/internal/job"
 	"github.com/datampi/datampi-go/internal/kv"
-	"github.com/datampi/datampi-go/internal/metrics"
 	"github.com/datampi/datampi-go/internal/sched"
 	"github.com/datampi/datampi-go/internal/sim"
 	"github.com/datampi/datampi-go/internal/trace"
@@ -46,7 +45,7 @@ type Config struct {
 	CPUPerRecord     float64 // core-sec per nominal record (both sides)
 	GCFactor         float64 // background JVM overhead per task core-sec
 	// MemPressureGC adds GC storm overhead when node memory utilization
-	// exceeds 60%: extra background CPU per task core-second, scaled by
+	// exceeds 70%: extra background CPU per task core-second, scaled by
 	// how deep into the red zone the node is. This is what makes 6 tasks
 	// per node slower than 4 on 16 GB nodes (Figure 2(b)).
 	MemPressureGC float64
@@ -98,17 +97,8 @@ func DefaultConfig() Config {
 // job.Engine (exclusive single-job runs) and sched.Engine (job admission
 // onto a shared testbed).
 type Engine struct {
-	C    *cluster.Cluster
-	FS   *dfs.FS
-	Cfg  Config
-	Prof *metrics.Profiler // optional resource profiler
-	// Tracer records job/phase/fetch spans for solo Run paths; queue
-	// submissions inherit the tracker's tracer instead.
-	Tracer *trace.Tracer
-
-	daemons   *sched.Residency // TaskTracker/DataNode residency across jobs
-	profiling sched.Profiling  // refcounted sampling across jobs
-	tp        *transport.Transport
+	sched.Runtime
+	Cfg Config
 }
 
 var _ sched.Engine = (*Engine)(nil)
@@ -119,22 +109,11 @@ func New(fs *dfs.FS, cfg Config) *Engine {
 	if prof.Name == "" {
 		prof = transport.HadoopProfile()
 	}
-	return &Engine{C: fs.Cluster(), FS: fs, Cfg: cfg, tp: transport.New(fs.Cluster(), prof)}
+	return &Engine{Runtime: sched.NewRuntime(fs, prof), Cfg: cfg}
 }
-
-// Transport exposes the engine's communication model: every shuffle
-// byte goes through it, on the profile's fluid form until the scenario
-// WithTransport knob switches staging on.
-func (e *Engine) Transport() *transport.Transport { return e.tp }
 
 // Name implements job.Engine.
 func (e *Engine) Name() string { return "Hadoop" }
-
-// Cluster implements sched.Engine.
-func (e *Engine) Cluster() *cluster.Cluster { return e.C }
-
-// scale returns nominal bytes per actual byte.
-func (e *Engine) scale() float64 { return e.FS.Config().Scale }
 
 // mapOutput is a completed map task's partitioned, sorted output sitting
 // on the map node's local disk.
@@ -151,25 +130,17 @@ type mapOutput struct {
 // simulation engine to completion, so the cluster must not have other
 // foreground work; co-schedule jobs through a sched.Queue instead.
 func (e *Engine) Run(spec job.Spec) job.Result {
-	eng := e.C.Eng
 	res := new(job.Result)
-	completed := false
-	e.submit(spec, sched.Solo(eng, e.C.N()), res, func(job.Result) { completed = true })
-	if err := eng.Run(); err != nil {
-		if res.Err == nil {
-			res.Err = err
-		}
-		if !completed {
-			// The driver never reached its cleanup (simulation deadlock):
-			// release what submit charged so the engine stays reusable.
-			e.profiling.Stop(e.Prof)
-			e.releaseDaemons()
-		}
+	err := e.RunSolo(func(ctl *sched.JobControl, done func()) {
+		e.submit(spec, ctl, res, func(job.Result) { done() })
+	})
+	if err != nil && res.Err == nil {
+		res.Err = err
 	}
 	// Exclusive-run accounting: the job ends when the simulation drains
 	// (trailing lazy heap frees included), and the reduce phase extends to
 	// that point.
-	res.End = eng.Now()
+	res.End = e.C.Eng.Now()
 	res.Elapsed = res.End - res.Start
 	if m, ok := res.Phases["map"]; ok {
 		res.Phases["reduce"] = res.End - (res.Start + m)
@@ -201,16 +172,8 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, res *job.Result, d
 		return
 	}
 
-	e.acquireDaemons()
-	e.profiling.Start(e.Prof, eng)
-
-	tr := ctl.Tracer(e.Tracer)
-	e.tp.SetTracer(tr)
-	var jsp *trace.Span
-	if tr != nil {
-		jsp = tr.Begin("job:"+spec.Name, "job", 0, trace.TidDriver, res.Start).
-			Annotate("engine", e.Name())
-	}
+	fr := e.Begin(ctl, spec.Name, e.Name(), e.Cfg.DaemonMem)
+	jsp := fr.Span
 	mapSpans := make([]uint64, nMaps) // map index -> producing attempt's span ID
 
 	assignment := ctl.Placer().Place(blocks)
@@ -246,20 +209,15 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, res *job.Result, d
 	finish := func() {
 		res.End = eng.Now()
 		res.Elapsed = res.End - res.Start
+		var names []string
+		var ends []float64
 		if mapPhaseEnd > 0 {
-			res.Phases["map"] = mapPhaseEnd - res.Start
-			res.Phases["reduce"] = res.End - mapPhaseEnd
+			names, ends = phaseNames, []float64{mapPhaseEnd, res.End}
 		}
-		if jsp != nil {
-			jsp.EndAt(res.End)
-			if mapPhaseEnd > 0 {
-				tr.BeginChild(jsp, "map", "phase", 0, trace.TidDriver, res.Start).EndAt(mapPhaseEnd)
-				tr.BeginChild(jsp, "reduce", "phase", 0, trace.TidDriver, mapPhaseEnd).EndAt(res.End)
-			}
+		for i, d := range fr.End(res.End, names, ends) {
+			res.Phases[names[i]] = d
 		}
 		res.Err = jobErr
-		e.profiling.Stop(e.Prof)
-		e.releaseDaemons()
 		if done != nil {
 			done(*res)
 		}
@@ -277,8 +235,8 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, res *job.Result, d
 
 		// Pipelined shuffle (staged transport with pipelining on): map
 		// attempts publish output streams reducers fetch block by block.
-		if nReduce > 0 && e.tp.Pipelined() {
-			board = e.tp.NewBoard(func() { outputsCond.Broadcast() })
+		if nReduce > 0 && e.Transport().Pipelined() {
+			board = e.Transport().NewBoard(func() { outputsCond.Broadcast() })
 		}
 
 		jobWG.Add(nMaps)
@@ -414,13 +372,8 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, res *job.Result, d
 						res.OutRecords += int64(len(out.reduced))
 						var werr error
 						if spec.Output != "" {
-							enc := job.EncodeTextOutput(out.reduced)
 							name := att.ScopedPath(fmt.Sprintf("%s/part-r-%05d", spec.Output, ri))
-							w := e.FS.CreateScaled(name, att.Node(), spec.EmitScale())
-							werr = w.Write(p, enc)
-							if werr == nil {
-								werr = w.Close(p)
-							}
+							werr = job.WriteTextOutput(p, e.FS, name, att.Node(), spec.EmitScale(), out.reduced)
 						}
 						out.release()
 						if werr != nil {
@@ -445,16 +398,9 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, res *job.Result, d
 	})
 }
 
-// acquireDaemons charges the per-node TaskTracker/DataNode residency when
-// the first concurrent job starts; releaseDaemons frees it with the last.
-func (e *Engine) acquireDaemons() {
-	if e.daemons == nil {
-		e.daemons = sched.NewResidency(e.C)
-	}
-	e.daemons.Acquire(e.Cfg.DaemonMem)
-}
-
-func (e *Engine) releaseDaemons() { e.daemons.Release() }
+// phaseNames are the job's two phases: map runs until the last map
+// completes, reduce from there to the job's end.
+var phaseNames = []string{"map", "reduce"}
 
 // runMapTask executes one map task attempt: JVM launch, streaming split
 // read overlapped with the map function and sort/spill I/O, then the
@@ -463,7 +409,7 @@ func (e *Engine) releaseDaemons() { e.daemons.Release() }
 // so a speculative attempt can re-run it on another node.
 func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk *dfs.Block, node, nReduce, mi int, board *transport.Board) (*mapOutput, error) {
 	cfg := &e.Cfg
-	scale := e.scale()
+	scale := e.Scale()
 	p.Sleep(cfg.TaskLaunch)
 	att.Report(0.05)
 
@@ -493,10 +439,7 @@ func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk
 	nominal := make([]float64, nParts)
 	records := make([]float64, nParts)
 	for pi, part := range parts {
-		b := 0
-		for _, pr := range part {
-			b += pr.Size() + 6 // per-record framing overhead on disk
-		}
+		b := kv.FramedBytes(part)
 		outActual += b
 		nominal[pi] = float64(b) * emitScale
 		records[pi] = float64(len(part)) * emitScale
@@ -514,17 +457,18 @@ func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk
 	defer mem.FreeLazy(e.C.Eng, heap, cfg.HeapLingerSecs)
 
 	// Spill/output serialization reads the transport profile's constant.
+	tp := e.Transport()
 	cpuSec := spec.CPUAdjust(e.Name()) * (cfg.CPUPerByteMap*spec.MapCPUFactor*inflatedNominal +
 		cfg.CPUPerRecord*nominalRecords +
-		e.tp.Profile().EmitCPUPerByte*(float64(spillActual+outActual)*emitScale))
+		tp.Profile().EmitCPUPerByte*(float64(spillActual+outActual)*emitScale))
 
 	// Spill and final map output writes to local disk. If there were
 	// intermediate spills, the merge re-reads them before the final write.
 	diskBytes := float64(spillActual+outActual) * emitScale
 	mergeRead := float64(mergeActual) * emitScale
 	// Background JVM/GC overhead contends for CPU in parallel; memory
-	// pressure beyond 60% of node RAM adds GC storms on top.
-	gc := e.gcOverhead(node, cpuSec)
+	// pressure beyond 70% of node RAM adds GC storms on top.
+	gc := e.JVMOverhead(node, cpuSec, cfg.GCFactor, cfg.MemPressureGC)
 	outNominalTotal := 0.0
 	outRecords := 0.0
 	for pi := range nominal {
@@ -532,103 +476,69 @@ func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk
 		outRecords += records[pi]
 	}
 
-	// Pipelined shuffle: the winning-eligible first attempt publishes a
-	// stream and commits output blocks as they land, so reducers fetch
-	// while this map still computes. Backups run the legacy lump shape —
-	// their output only matters if they win the photo finish.
+	// Pipelined shuffle: the first attempt publishes a stream and splits
+	// every resource charge evenly into block-granularity chunks,
+	// committing a fraction per chunk, so reducers fetch while this map
+	// still computes. A backup attempt or a non-pipelined run is the
+	// one-chunk case: its output is fetched once it completes.
 	var st *transport.Stream
+	nChunks := 1
 	if board != nil && !att.Backup() {
 		st = board.Open(mi, node, nominal, outRecords)
 		// Fail is a no-op after Finish; this covers error and kill unwinds.
 		defer st.Fail()
+		if bb := tp.PipelineBlock(); outNominalTotal > bb {
+			nChunks = min(int(outNominalTotal/bb)+1, 16)
+		}
 	}
-
-	if st != nil {
-		// Block-granularity chunks: every resource charge is split evenly
-		// (same totals as the lump path) and a fraction commits per chunk.
-		nChunks := 1
-		if bb := e.tp.PipelineBlock(); outNominalTotal > bb {
-			nChunks = int(outNominalTotal/bb) + 1
-			if nChunks > 16 {
-				nChunks = 16
+	k := float64(nChunks)
+	for ci := 0; ci < nChunks; ci++ {
+		var cw sim.WaitGroup
+		if ci == 0 {
+			// The split read (disk at replica + network if remote)
+			// overlaps the first chunk.
+			if err := e.FS.StartRead(blk, node, &cw); err != nil {
+				return nil, err
 			}
-		}
-		k := float64(nChunks)
-		for ci := 0; ci < nChunks; ci++ {
-			var cw sim.WaitGroup
-			if ci == 0 {
-				// The split read overlaps the first chunk.
-				if err := e.FS.StartRead(blk, node, &cw); err != nil {
-					return nil, err
-				}
-			}
-			cw.Add(1)
-			e.C.Node(node).CPU.Start(cpuSec/k, cw.Done)
-			if gc > 0 {
-				cw.Add(1)
-				e.C.Node(node).CPU.Start(gc/k, cw.Done)
-			}
-			if diskBytes+mergeRead > 0 {
-				cw.Add(1)
-				e.C.Node(node).Disk.Start((diskBytes+mergeRead)/k, cw.Done)
-			}
-			if outNominalTotal > 0 {
-				cw.Add(1)
-				e.tp.SendStages(node, outNominalTotal/k, outRecords/k, cw.Done)
-			}
-			p.BlockReason = "disk"
-			cw.Wait(p)
-			p.BlockReason = ""
-			st.Commit(float64(ci+1) / k)
-		}
-		if e.Prof != nil {
-			e.Prof.AddDiskWrite(node, diskBytes)
-			e.Prof.AddDiskRead(node, mergeRead)
-		}
-		st.Finish()
-	} else {
-		var wg sim.WaitGroup
-		// Split read (disk at replica + network if remote).
-		if err := e.FS.StartRead(blk, node, &wg); err != nil {
-			return nil, err
-		}
-		// Map + sort CPU, single-threaded.
-		wg.Add(1)
-		e.C.Node(node).CPU.Start(cpuSec, wg.Done)
-		if gc > 0 {
-			wg.Add(1)
-			e.C.Node(node).CPU.Start(gc, wg.Done)
-		}
-		if diskBytes+mergeRead > 0 {
-			wg.Add(1)
-			e.C.Node(node).Disk.Start(diskBytes+mergeRead, wg.Done)
 			if e.Prof != nil {
 				e.Prof.AddDiskWrite(node, diskBytes)
 				e.Prof.AddDiskRead(node, mergeRead)
 			}
 		}
+		// Map + sort CPU, single-threaded.
+		cw.Add(1)
+		e.C.Node(node).CPU.Start(cpuSec/k, cw.Done)
+		if gc > 0 {
+			cw.Add(1)
+			e.C.Node(node).CPU.Start(gc/k, cw.Done)
+		}
+		if diskBytes+mergeRead > 0 {
+			cw.Add(1)
+			e.C.Node(node).Disk.Start((diskBytes+mergeRead)/k, cw.Done)
+		}
 		if !mapOnly && outNominalTotal > 0 {
 			// Sender-side stages: serialize + copy the map output into
 			// the shuffle servlet's transfer buffers.
-			wg.Add(1)
-			e.tp.SendStages(node, outNominalTotal, outRecords, wg.Done)
+			cw.Add(1)
+			tp.SendStages(node, outNominalTotal/k, outRecords/k, cw.Done)
 		}
 		p.BlockReason = "disk"
-		wg.Wait(p)
+		cw.Wait(p)
 		p.BlockReason = ""
+		if st != nil {
+			st.Commit(float64(ci+1) / k)
+		}
+	}
+	if st != nil {
+		st.Finish()
 	}
 
 	if mapOnly && spec.Output != "" {
 		// Map-only job: write this task's output to its attempt-scoped
 		// temp path; the tracker renames the winner's file into place, so
 		// even DFS-writing map tasks can race speculative backups.
-		enc := job.EncodeTextOutput(parts[0])
 		name := att.ScopedPath(fmt.Sprintf("%s/part-m-%05d", spec.Output, blk.ID))
-		w := e.FS.CreateScaled(name, node, emitScale)
-		if err := w.Write(p, enc); err != nil {
-			return nil, err
-		}
-		if err := w.Close(p); err != nil {
+		if err := job.WriteTextOutput(p, e.FS, name, node, emitScale, parts[0]); err != nil {
 			return nil, err
 		}
 	}
@@ -715,7 +625,7 @@ func (e *Engine) runReduceTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, 
 	// drainStreams block-fetches every newly published pipelined stream
 	// in order, pulling committed blocks while the maps still compute. A
 	// stream that fails mid-fetch (killed attempt, dead node) is simply
-	// abandoned: the outputs scan below covers its map the legacy way.
+	// abandoned: the outputs scan below fetches its map whole instead.
 	drainStreams := func() {
 		for nextStream < len(board.Streams()) {
 			s := board.Streams()[nextStream]
@@ -815,19 +725,12 @@ func (e *Engine) runReduceTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, 
 			}
 			fsp.DepOn(lastFetch)
 		}
-		var wg sim.WaitGroup
-		wg.Add(1)
-		e.C.Node(mo.node).Disk.Start(nom, wg.Done)
-		// Wire (remote only) + deserialize with per-record Writable
-		// costs on the reduce side.
-		wg.Add(1)
-		e.tp.FetchStages(mo.node, node, nom, mo.records[ri], wg.Done)
 		if e.Prof != nil {
 			e.Prof.AddDiskRead(mo.node, nom)
 		}
-		p.BlockReason = "shuffle-io"
-		wg.Wait(p)
-		p.BlockReason = ""
+		// Wire (remote only) + deserialize with per-record Writable
+		// costs on the reduce side.
+		e.Transport().Fetch(p, mo.node, node, nom, mo.records[ri])
 		if fsp != nil {
 			fsp.EndAt(e.C.Eng.Now())
 			lastFetch = fsp.ID
@@ -858,7 +761,7 @@ func (e *Engine) runReduceTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, 
 		cfg.CPUPerRecord*nominalRecords)
 	wg.Add(1)
 	e.C.Node(node).CPU.Start(cpuSec, wg.Done)
-	if gc := e.gcOverhead(node, cpuSec); gc > 0 {
+	if gc := e.JVMOverhead(node, cpuSec, cfg.GCFactor, cfg.MemPressureGC); gc > 0 {
 		wg.Add(1)
 		e.C.Node(node).CPU.Start(gc, wg.Done)
 	}
@@ -868,19 +771,4 @@ func (e *Engine) runReduceTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, 
 
 	handoff = true
 	return &reduceOut{reduced: spec.GroupReduce(merged), release: release}, nil
-}
-
-// AttachProfiler wires a resource profiler into the engine.
-func (e *Engine) AttachProfiler(p *metrics.Profiler) { e.Prof = p }
-
-// gcOverhead returns the background JVM CPU charged alongside a task:
-// the baseline GCFactor plus a memory-pressure GC storm term when the
-// node's memory utilization exceeds 60%.
-func (e *Engine) gcOverhead(node int, cpuSec float64) float64 {
-	gc := e.Cfg.GCFactor * cpuSec
-	mem := e.C.Node(node).Mem
-	if press := mem.Pressure(); press > 0.7 {
-		gc += e.Cfg.MemPressureGC * (press - 0.7) / 0.3 * cpuSec
-	}
-	return gc
 }

@@ -110,25 +110,17 @@ func (r *RDD) Collect() ([]kv.Pair, JobResult) {
 // drives the simulation to completion; co-schedule actions through a
 // sched.Queue instead.
 func (e *Engine) runAction(target *RDD, outPath string, collect func([]partData)) JobResult {
-	eng := e.C.Eng
 	res := new(JobResult)
-	start := eng.Now()
-	completed := false
-	e.submitAction("action", target, outPath, collect, sched.Solo(eng, e.C.N()), res, func(JobResult) { completed = true })
-	if err := eng.Run(); err != nil {
-		if res.Err == nil {
-			res.Err = err
-		}
-		if !completed {
-			// The driver never reached its cleanup (simulation deadlock):
-			// release what submitAction charged so the engine stays usable.
-			e.profiling.Stop(e.Prof)
-			e.releaseApp()
-		}
+	start := e.C.Eng.Now()
+	err := e.RunSolo(func(ctl *sched.JobControl, done func()) {
+		e.submitAction("action", target, outPath, collect, ctl, res, func(JobResult) { done() })
+	})
+	if err != nil && res.Err == nil {
+		res.Err = err
 	}
 	// Exclusive-run accounting: the action ends when the simulation drains
 	// (trailing lazy GC frees included).
-	res.Elapsed = eng.Now() - start
+	res.Elapsed = e.C.Eng.Now() - start
 	return *res
 }
 
@@ -139,18 +131,9 @@ func (e *Engine) submitAction(name string, target *RDD, outPath string, collect 
 
 	eng := e.C.Eng
 	cfg := &e.Cfg
-	start := eng.Now()
-
-	e.acquireApp()
-	e.profiling.Start(e.Prof, eng)
-
-	tr := ctl.Tracer(e.Tracer)
-	e.tp.SetTracer(tr)
-	var jsp *trace.Span
-	if tr != nil {
-		jsp = tr.Begin("job:"+name, "job", 0, trace.TidDriver, start).
-			Annotate("engine", e.Name())
-	}
+	// Executor residency: the worker daemon plus every executor's base heap.
+	fr := e.Begin(ctl, name, e.Name(), cfg.DaemonMem+float64(cfg.WorkersPerNode)*cfg.ExecutorBaseMem)
+	jsp := fr.Span
 
 	stages := plan(target)
 	slots := ctl.Pool("spark-worker", cfg.WorkersPerNode)
@@ -182,39 +165,18 @@ func (e *Engine) submitAction(name string, target *RDD, outPath string, collect 
 		}
 		driver.Sleep(cfg.JobFinalize)
 		endT := eng.Now()
-		res.Elapsed = endT - start
-		prev := start
-		for i, t := range stageEnds {
-			res.Stages = append(res.Stages, t-prev)
-			if jsp != nil {
-				// Stage phase spans; durations derive from the spans, the
-				// same floats as the legacy subtraction.
-				sp := tr.BeginChild(jsp, stageName(i), "phase", 0, trace.TidDriver, prev)
-				sp.EndAt(t)
-				res.Stages[i] = sp.End - sp.Start
-			}
-			prev = t
+		res.Elapsed = endT - fr.Start
+		names := make([]string, len(stageEnds))
+		for i := range names {
+			names[i] = stageName(i)
 		}
-		jsp.EndAt(endT)
+		res.Stages = fr.End(endT, names, stageEnds)
 		res.Err = jobErr
-		e.profiling.Stop(e.Prof)
-		e.releaseApp()
 		if done != nil {
 			done(*res)
 		}
 	})
 }
-
-// acquireApp charges the per-node daemon and executor base residency when
-// the first concurrent action starts; releaseApp frees it with the last.
-func (e *Engine) acquireApp() {
-	if e.app == nil {
-		e.app = sched.NewResidency(e.C)
-	}
-	e.app.Acquire(e.Cfg.DaemonMem + float64(e.Cfg.WorkersPerNode)*e.Cfg.ExecutorBaseMem)
-}
-
-func (e *Engine) releaseApp() { e.app.Release() }
 
 // taskIn is one stage task's immutable input — kept per stage so a lost
 // shuffle output can be regenerated by re-running the producing task.
@@ -287,7 +249,6 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, shuffleIn []partData, pre
 	jsp *trace.Span) ([]partData, *stageFetch, error) {
 
 	cfg := &e.Cfg
-	scale := e.scale()
 
 	var tasks []taskIn
 
@@ -436,7 +397,6 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, shuffleIn []partData, pre
 		// not cached and its consumers recompute it from lineage.
 		st.target.evicted = !fits
 	}
-	_ = scale
 	return results, nf, nil
 }
 
@@ -459,8 +419,9 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 	wide *wideOp, isLast bool, outPath string, taskIdx int, prev *stageFetch) ([]partData, error) {
 
 	cfg := &e.Cfg
-	scale := e.scale()
+	scale := e.Scale()
 	eng := e.C.Eng
+	tp := e.Transport()
 	var pairs []kv.Pair
 	var inputNominal float64
 	cpuFactor := 1.0
@@ -533,19 +494,12 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 				}
 				fsp.DepOn(lastFetch)
 			}
-			var fw sim.WaitGroup
-			fw.Add(1)
-			e.C.Node(pd.node).Disk.Start(pd.nominal, fw.Done)
 			if e.Prof != nil {
 				e.Prof.AddDiskRead(pd.node, pd.nominal)
 			}
 			// Wire (remote only) + deserialize on the fetching worker,
 			// with per-record costs.
-			fw.Add(1)
-			e.tp.FetchStages(pd.node, node, pd.nominal, pd.records, fw.Done)
-			p.BlockReason = "shuffle-io"
-			fw.Wait(p)
-			p.BlockReason = ""
+			tp.Fetch(p, pd.node, node, pd.nominal, pd.records)
 			if fsp != nil {
 				fsp.EndAt(eng.Now())
 				lastFetch = fsp.ID
@@ -621,11 +575,7 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 
 	wg.Add(1)
 	e.C.Node(node).CPU.Start(cpuSec, wg.Done)
-	gc := cfg.GCFactor * cpuSec
-	if press := e.C.Node(node).Mem.Pressure(); press > 0.7 {
-		gc += cfg.MemPressureGC * (press - 0.7) / 0.3 * cpuSec
-	}
-	if gc > 0 {
+	if gc := e.JVMOverhead(node, cpuSec, cfg.GCFactor, cfg.MemPressureGC); gc > 0 {
 		wg.Add(1)
 		e.C.Node(node).CPU.Start(gc, wg.Done)
 	}
@@ -644,23 +594,15 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 		if att != nil {
 			att.Report(0.9)
 		}
-		outNominal := 0.0
-		for _, pr := range pairs {
-			outNominal += float64(pr.Size()+6) * outScale
-		}
+		outNominal := float64(kv.FramedBytes(pairs)) * outScale
 		if outPath != "" {
 			// Attempt-scoped temp write; the tracker renames the winner's
 			// part file into place.
-			enc := job.EncodeTextOutput(pairs)
 			name := fmt.Sprintf("%s/part-%05d", outPath, taskIdx)
 			if att != nil {
 				name = att.ScopedPath(name)
 			}
-			w := e.FS.CreateScaled(name, node, outScale)
-			if err := w.Write(p, enc); err != nil {
-				return nil, err
-			}
-			if err := w.Close(p); err != nil {
+			if err := job.WriteTextOutput(p, e.FS, name, node, outScale, pairs); err != nil {
 				return nil, err
 			}
 		}
@@ -670,16 +612,13 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 	// Not the last stage: this stage feeds a wide op — write shuffle
 	// output (Spark 0.8 hash shuffle materializes map outputs on the
 	// local disks of the map side).
-	next := findWideConsumer(st)
+	next := st.consumer
 	if next == nil {
 		// Feeding a cached materialization without shuffle: building the
 		// RDD's in-memory representation costs CPU (deserialization into
 		// JVM objects — the "creates the RDD" cost of the paper's Spark
 		// Stage 0).
-		outNominal := 0.0
-		for _, pr := range pairs {
-			outNominal += float64(pr.Size()+6) * outScale
-		}
+		outNominal := float64(kv.FramedBytes(pairs)) * outScale
 		if cfg.CacheCPUPerByte > 0 && st.target.cached {
 			wg.Add(1)
 			e.C.Node(node).CPU.Start(cfg.CacheCPUPerByte*outNominal, wg.Done)
@@ -702,10 +641,7 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 	writeNominal := 0.0
 	writeRecords := 0.0
 	for pi, part := range parts {
-		nom := 0.0
-		for _, pr := range part {
-			nom += float64(pr.Size()+6) * shufScale
-		}
+		nom := float64(kv.FramedBytes(part)) * shufScale
 		writeNominal += nom
 		recs := float64(len(part)) * shufScale
 		writeRecords += recs
@@ -719,23 +655,17 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 		}
 		// Shuffle-write serialization runs on the shuffle writer thread
 		// (the consolidated emit constant, charged in both modes).
-		if emit := e.tp.Profile().EmitCPUPerByte; emit > 0 {
+		if emit := tp.Profile().EmitCPUPerByte; emit > 0 {
 			wg.Add(1)
 			e.C.Node(node).CPU.Start(emit*writeNominal, wg.Done)
 		}
 		// Sender-side stages on top: serialize + copy (or zero-copy)
 		// into the shuffle file's transfer buffers.
 		wg.Add(1)
-		e.tp.SendStages(node, writeNominal, writeRecords, wg.Done)
+		tp.SendStages(node, writeNominal, writeRecords, wg.Done)
 	}
 	p.BlockReason = "disk"
 	wg.Wait(p)
 	p.BlockReason = ""
 	return out, nil
-}
-
-// findWideConsumer returns the wide op that consumes st's output, wired
-// up during planning (nil for the final stage of a lineage).
-func findWideConsumer(st *stage) *wideOp {
-	return st.consumer
 }

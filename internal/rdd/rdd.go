@@ -19,9 +19,7 @@ import (
 	"github.com/datampi/datampi-go/internal/dfs"
 	"github.com/datampi/datampi-go/internal/job"
 	"github.com/datampi/datampi-go/internal/kv"
-	"github.com/datampi/datampi-go/internal/metrics"
 	"github.com/datampi/datampi-go/internal/sched"
-	"github.com/datampi/datampi-go/internal/trace"
 	"github.com/datampi/datampi-go/internal/transport"
 )
 
@@ -39,7 +37,7 @@ type Config struct {
 	CacheCPUPerByte  float64 // building cached RDD objects per nominal byte
 	CPUPerRecord     float64
 	GCFactor         float64
-	MemPressureGC    float64 // GC storm overhead above 60% node memory
+	MemPressureGC    float64 // GC storm overhead above 70% node memory
 
 	// ExpansionFactor is the in-memory size of data as JVM objects
 	// relative to its serialized bytes; SortOverheadFactor is the extra
@@ -89,29 +87,15 @@ func DefaultConfig() Config {
 // actions in one SparkContext) — until an executor holding cached
 // partitions dies, which invalidates the affected RDDs for recompute.
 type Engine struct {
-	C    *cluster.Cluster
-	FS   *dfs.FS
-	Cfg  Config
-	Prof *metrics.Profiler
-	// Tracer records job/stage/fetch spans for solo action paths; queue
-	// submissions inherit the tracker's tracer instead.
-	Tracer *trace.Tracer
+	sched.Runtime
+	Cfg Config
 
 	appStarted bool
-	app        *sched.Residency // executor residency across actions
-	profiling  sched.Profiling  // refcounted sampling across actions
 
 	// cachedRDDs registers every RDD materialized into executor memory,
 	// so a node failure can drop the partitions that died with it.
 	cachedRDDs []*RDD
-
-	tp *transport.Transport
 }
-
-// Transport exposes the engine's communication model: every shuffle
-// byte goes through it, on the profile's fluid form until the scenario
-// WithTransport knob switches staging on.
-func (e *Engine) Transport() *transport.Transport { return e.tp }
 
 // New creates an engine (a SparkContext, in effect) over a filesystem.
 // The engine subscribes to datanode failures: executors are co-located
@@ -122,7 +106,7 @@ func New(fs *dfs.FS, cfg Config) *Engine {
 	if prof.Name == "" {
 		prof = transport.SparkProfile()
 	}
-	e := &Engine{C: fs.Cluster(), FS: fs, Cfg: cfg, tp: transport.New(fs.Cluster(), prof)}
+	e := &Engine{Runtime: sched.NewRuntime(fs, prof), Cfg: cfg}
 	fs.OnNodeEvent(func(node int, down bool) {
 		if down {
 			e.dropCachesOn(node)
@@ -174,11 +158,6 @@ func (e *Engine) registerCached(r *RDD) {
 
 // Name implements job.Engine.
 func (e *Engine) Name() string { return "Spark" }
-
-// Cluster implements sched.Engine.
-func (e *Engine) Cluster() *cluster.Cluster { return e.C }
-
-func (e *Engine) scale() float64 { return e.FS.Config().Scale }
 
 // RDD is a lazily evaluated dataset. Narrow transformations extend the
 // lineage; wide (shuffle) transformations mark stage boundaries.
@@ -302,6 +281,3 @@ func (r *RDD) Cache() *RDD {
 	r.cached = true
 	return r
 }
-
-// AttachProfiler wires a resource profiler into the engine.
-func (e *Engine) AttachProfiler(p *metrics.Profiler) { e.Prof = p }

@@ -532,7 +532,6 @@ type PoolSet struct {
 	nodes  int
 	policy Policy
 	pools  map[string]*SlotPool
-	order  []string // creation order, for deterministic iteration
 }
 
 // NewPoolSet creates an empty pool set for a cluster of nodes nodes.
@@ -561,7 +560,6 @@ func (ps *PoolSet) Pool(kind string, perNode int) *SlotPool {
 	}
 	sp := NewSlotPool(ps.policy, ps.nodes, perNode)
 	ps.pools[kind] = sp
-	ps.order = append(ps.order, kind)
 	return sp
 }
 
@@ -581,13 +579,4 @@ func (ps *PoolSet) PoolGrow(kind string, perNode int) *SlotPool {
 func (ps *PoolSet) Get(kind string) (*SlotPool, bool) {
 	sp, ok := ps.pools[kind]
 	return sp, ok
-}
-
-// Pools returns every pool in creation order.
-func (ps *PoolSet) Pools() []*SlotPool {
-	out := make([]*SlotPool, 0, len(ps.order))
-	for _, kind := range ps.order {
-		out = append(out, ps.pools[kind])
-	}
-	return out
 }

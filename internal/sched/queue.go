@@ -35,9 +35,6 @@ type JobControl struct {
 	slack   float64 // delay-scheduling slack for this job's Placer
 }
 
-// Handle returns the job's scheduling handle.
-func (c *JobControl) Handle() *JobHandle { return c.handle }
-
 // Pool returns the shared slot pool named kind, creating it with perNode
 // slots per node on first use (see PoolSet.Pool).
 func (c *JobControl) Pool(kind string, perNode int) *SlotPool {
@@ -190,9 +187,6 @@ func (q *Queue) TrackerStats() TrackerStats { return q.tracker.Stats() }
 // onto it. Engines submitted to the queue pick it up through their
 // JobControl. Call before Run; nil turns tracing off.
 func (q *Queue) SetTracer(tr *trace.Tracer) { q.tracker.SetTracer(tr) }
-
-// Tracer returns the installed tracer (nil when tracing is off).
-func (q *Queue) Tracer() *trace.Tracer { return q.tracker.Tracer() }
 
 // Submission tracks one admitted job until its result is available.
 type Submission struct {

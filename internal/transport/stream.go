@@ -66,9 +66,6 @@ func (b *Board) Open(producer, node int, partNominal []float64, records float64)
 // Producer returns the map index that owns the stream.
 func (s *Stream) Producer() int { return s.producer }
 
-// Node returns the node the output is materializing on.
-func (s *Stream) Node() int { return s.node }
-
 // PartNominal returns partition pi's nominal size (0 when out of range).
 func (s *Stream) PartNominal(pi int) float64 {
 	if pi < 0 || pi >= len(s.parts) {
@@ -122,7 +119,7 @@ func (s *Stream) Finished() bool { return s.finished }
 // commits, blocking p between commits. Each chunk charges the source
 // disk plus the staged wire/deserialize path. It returns the bytes
 // fetched and ok=false if the stream failed or its node died mid-way
-// (caller falls back to the legacy fetch for this map).
+// (the caller then fetches this map's materialized output whole).
 func (s *Stream) Fetch(p *sim.Proc, pi, dst int, onChunk func(srcNode int, bytes float64)) (float64, bool) {
 	t := s.b.t
 	want := 0.0
@@ -163,7 +160,7 @@ func (s *Stream) Fetch(p *sim.Proc, pi, dst int, onChunk func(srcNode int, bytes
 			var wg sim.WaitGroup
 			wg.Add(2)
 			t.c.Node(s.node).Disk.Start(chunk, wg.Done)
-			t.FetchStages(s.node, dst, chunk, recs, wg.Done)
+			t.fetchStages(s.node, dst, chunk, recs, wg.Done)
 			wg.Wait(p)
 			fetched += chunk
 			chunks++

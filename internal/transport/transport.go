@@ -385,15 +385,28 @@ func (t *Transport) Send(src, dst int, bytes, records float64, onDone func()) {
 	})
 }
 
-// FetchStages runs the receive-path stages for a disk-materialized
-// shuffle fetch (mr/rdd): wire only when the source is remote — the
-// engines skip the network for node-local fetches — plus
-// deserialize on the destination. Sender-side stages for these
-// engines are charged at shuffle-write time via SendStages.
-func (t *Transport) FetchStages(src, dst int, bytes, records float64, onDone func()) {
+// fetchStages runs the receive-path stages for a disk-materialized
+// shuffle fetch: wire only when the source is remote — node-local
+// fetches skip the network — plus deserialize on the destination.
+// Sender-side stages for these fetches are charged at shuffle-write
+// time via SendStages.
+func (t *Transport) fetchStages(src, dst int, bytes, records float64, onDone func()) {
 	if src != dst {
 		t.wire(src, dst, bytes, records, onDone)
 		return
 	}
 	t.recvStages(dst, bytes, records, onDone)
+}
+
+// Fetch pulls bytes of disk-materialized shuffle output from node src
+// to dst, blocking p: the source disk read overlaps the wire and
+// deserialize stages, and p parks as shuffle I/O.
+func (t *Transport) Fetch(p *sim.Proc, src, dst int, bytes, records float64) {
+	var wg sim.WaitGroup
+	wg.Add(2)
+	t.c.Node(src).Disk.Start(bytes, wg.Done)
+	t.fetchStages(src, dst, bytes, records, wg.Done)
+	p.BlockReason = "shuffle-io"
+	wg.Wait(p)
+	p.BlockReason = ""
 }
